@@ -119,27 +119,46 @@ impl PortfolioStrategy {
         job: &JobSpec,
         on_demand: Price,
     ) -> Result<PortfolioPlan, CoreError> {
+        let mut legs = Vec::new();
+        self.decide_into(histories, job, on_demand, &mut legs)?;
+        Ok(PortfolioPlan { legs })
+    }
+
+    /// As [`PortfolioStrategy::decide`], appending the plan's legs to
+    /// `legs` instead of allocating a plan — for callers resolving many
+    /// plans into one buffer. On error, `legs` may hold a partial plan.
+    ///
+    /// # Errors
+    ///
+    /// As [`PortfolioStrategy::decide`].
+    pub fn decide_into(
+        &self,
+        histories: &[SpotPriceHistory],
+        job: &JobSpec,
+        on_demand: Price,
+        legs: &mut Vec<PortfolioLeg>,
+    ) -> Result<(), CoreError> {
         if histories.is_empty() {
             return Err(CoreError::NoFeasibleBid {
                 why: "portfolio needs at least one market".into(),
             });
         }
-        job.validate()?;
         let m = histories.len();
         let total_slots = job.slots_needed();
         match *self {
             PortfolioStrategy::ZoneFallback { home, base } => {
-                let market = home % m;
+                // `base.decide` validates the job. (The comparison spares
+                // the common in-range home a 64-bit division.)
+                let market = if home < m { home } else { home % m };
                 let decision = base.decide(&histories[market], job, on_demand)?;
-                Ok(PortfolioPlan {
-                    legs: vec![PortfolioLeg {
-                        market,
-                        slots: total_slots,
-                        decision,
-                    }],
-                })
+                legs.push(PortfolioLeg {
+                    market,
+                    slots: total_slots,
+                    decision,
+                });
             }
             PortfolioStrategy::SplitEven { base } => {
+                job.validate()?;
                 // At most one leg per slot of work; shrink the leg count
                 // until each leg's execution clears the job's recovery
                 // floor (Eq. 13 needs execution > recovery per sub-job).
@@ -156,7 +175,6 @@ impl PortfolioStrategy {
                 targets.sort_unstable();
                 let base_slots = total_slots / legs_n as u64;
                 let extra = (total_slots % legs_n as u64) as usize;
-                let mut legs = Vec::with_capacity(legs_n);
                 for (i, &market) in targets.iter().enumerate() {
                     let slots = base_slots + u64::from(i < extra);
                     let sub = sub_job(job, slots);
@@ -167,9 +185,9 @@ impl PortfolioStrategy {
                         decision,
                     });
                 }
-                Ok(PortfolioPlan { legs })
             }
             PortfolioStrategy::Contract { spot_share, base } => {
+                job.validate()?;
                 if !(0.0..=1.0).contains(&spot_share) || !spot_share.is_finite() {
                     return Err(CoreError::InvalidProbability { value: spot_share });
                 }
@@ -182,7 +200,6 @@ impl PortfolioStrategy {
                     spot_slots = 0;
                 }
                 let od_slots = total_slots - spot_slots;
-                let mut legs = Vec::with_capacity(2);
                 if spot_slots > 0 {
                     let sub = sub_job(job, spot_slots);
                     let decision = base.decide(&histories[cheapest], &sub, on_demand)?;
@@ -199,9 +216,9 @@ impl PortfolioStrategy {
                         decision: BidDecision::OnDemand { price: on_demand },
                     });
                 }
-                Ok(PortfolioPlan { legs })
             }
         }
+        Ok(())
     }
 }
 

@@ -25,14 +25,16 @@
 //!   tenant and binary-searches every live bid against the report. O(N)
 //!   per slot, obviously correct, retained verbatim as the behavioral
 //!   oracle.
-//! - the **wakeup fleet** (default, behind [`run_closed_loop`]) — a
-//!   struct-of-arrays fleet with price-indexed wakeup buckets and a
-//!   calendar queue: a tenant is touched only when the posted price
-//!   crosses *its* threshold, a scheduled event (expected finish, fresh
-//!   submission) fires, or it is running. A slot where nothing fires
-//!   costs O(1). Bit-identical to [`dense`] — same `BidId`s, events,
-//!   bills, and RNG stream reservations at any thread count — per the
-//!   DESIGN.md §5f contract, held by `tests/wakeup_equiv.rs`.
+//! - the **wakeup fleet** (behind [`run_closed_loop`]) — the portfolio
+//!   loop's event-driven fleet at M = 1: the single market is the
+//!   one-zone portfolio, every tenant a
+//!   `PortfolioStrategy::ZoneFallback { home: 0, base }`. A tenant is
+//!   touched only when the posted price crosses *its* threshold, a
+//!   scheduled event (expected finish, fresh submission) fires, or it is
+//!   running; a slot where nothing fires costs O(1). Bit-identical to
+//!   [`dense`] — same `BidId`s, events, bills, and RNG stream reservations
+//!   at any thread count — per the DESIGN.md §5j contract, held by
+//!   `tests/wakeup_equiv.rs`.
 
 use crate::billing::Bill;
 use crate::event::Event;
@@ -50,9 +52,8 @@ use spotbid_trace::SpotPriceHistory;
 
 pub mod dense;
 pub mod portfolio;
-mod wakeup;
 
-pub use wakeup::FleetStats;
+use portfolio::{OdChurn, PortfolioLoopConfig};
 
 /// Configuration of one closed-loop session.
 #[derive(Debug, Clone, Copy)]
@@ -86,6 +87,18 @@ pub struct ClosedLoopConfig {
     /// Per-slot departure probability of each active on-demand instance
     /// (geometric holding times); only under finite supply.
     pub od_departure: f64,
+}
+
+/// Wakeup accounting for one closed-loop session.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FleetStats {
+    /// Slots the fleet was asked to advance.
+    pub slots: u64,
+    /// Slots skipped in O(1): no wake fired and nothing was running.
+    /// Fault-free, exactly the dense run's zero-activity slots.
+    pub skipped_slots: u64,
+    /// Total tenant wakeups processed across all slots.
+    pub woken: u64,
 }
 
 /// What happened to one tenant.
@@ -132,8 +145,8 @@ pub struct ClosedLoopReport {
 }
 
 /// A fault plan for one closed-loop session, indexed by **absolute** slot
-/// (warmup slots included). Both fleets consume faults through the shared
-/// `ClosedLoopSource`, so a faulted wakeup run stays bit-identical to
+/// (warmup slots included). Every fleet's price source applies it at the
+/// same point of the slot, so a faulted wakeup run stays bit-identical to
 /// the faulted dense run. Slots beyond a vector's length are fault-free.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LoopFaults {
@@ -420,6 +433,60 @@ fn assemble_report(
     })
 }
 
+/// The wakeup fleet behind every `run_closed_loop*` entry point: the
+/// session as a one-market portfolio of `ZoneFallback { home: 0, base }`
+/// tenants, its report and stats mapped back to the single-market types.
+fn run_wakeup(
+    strategies: &[BiddingStrategy],
+    cfg: &ClosedLoopConfig,
+    seed: u64,
+    faults: Option<&LoopFaults>,
+    log: Option<&mut EventLog>,
+) -> Result<(ClosedLoopReport, FleetStats), EngineError> {
+    validate(strategies, cfg)?;
+    // On-demand churn keeps its single-market stream: the next index
+    // after the decision shards.
+    let od = matches!(cfg.supply, Supply::Finite { .. }).then(|| OdChurn {
+        rng: RngStreams::new(seed).stream(2 + strategies.len().div_ceil(dense::SHARD_SIZE) as u64),
+        arrivals: cfg.od_arrivals,
+        departure: cfg.od_departure,
+    });
+    let pcfg = PortfolioLoopConfig::single(cfg, "spot");
+    let (report, stats) = portfolio::wakeup::run(
+        strategies,
+        &pcfg,
+        seed,
+        faults.map(std::slice::from_ref),
+        od,
+        log,
+        |t, cost, savings| TenantOutcome {
+            tenant: t.tag,
+            strategy: strategies[t.tag as usize],
+            completed: t.completed,
+            spot_slots: t.spot_slots,
+            interruptions: t.interruptions,
+            resubmissions: t.resubmissions,
+            cost,
+            savings,
+        },
+    )?;
+    let report = ClosedLoopReport {
+        tenants: report.tenants,
+        completed: report.completed,
+        mean_savings: report.mean_savings,
+        mean_price: report.mean_price[0],
+        peak_price: report.peak_price[0],
+        slots: report.slots,
+        provider: report.provider.into_iter().next().flatten(),
+    };
+    let stats = FleetStats {
+        slots: stats.slots,
+        skipped_slots: stats.skipped_slots,
+        woken: stats.woken,
+    };
+    Ok((report, stats))
+}
+
 /// Runs one closed-loop session on the event-driven wakeup fleet: warms
 /// the market up with background load, then lets one tenant per strategy
 /// bid into it for `horizon_slots`. Deterministic from `seed`, and
@@ -432,14 +499,14 @@ fn assemble_report(
 /// # Errors
 ///
 /// [`EngineError::InvalidConfig`] for empty strategy lists, zero warmup or
-/// horizon, or a non-finite arrival rate; [`EngineError::Core`] if a
-/// strategy fails to resolve.
+/// horizon, a non-finite arrival rate, or a zero-capacity finite supply;
+/// [`EngineError::Core`] if a strategy fails to resolve.
 pub fn run_closed_loop(
     strategies: &[BiddingStrategy],
     cfg: &ClosedLoopConfig,
     seed: u64,
 ) -> Result<ClosedLoopReport, EngineError> {
-    wakeup::run(strategies, cfg, seed, None, None).map(|(report, _)| report)
+    run_wakeup(strategies, cfg, seed, None, None).map(|(report, _)| report)
 }
 
 /// As [`run_closed_loop`], optionally fault-injected, also returning the
@@ -454,7 +521,7 @@ pub fn run_closed_loop_with_stats(
     seed: u64,
     faults: Option<&LoopFaults>,
 ) -> Result<(ClosedLoopReport, FleetStats), EngineError> {
-    wakeup::run(strategies, cfg, seed, faults, None)
+    run_wakeup(strategies, cfg, seed, faults, None)
 }
 
 /// As [`run_closed_loop`], optionally fault-injected, also returning the
@@ -471,7 +538,7 @@ pub fn run_closed_loop_logged(
     faults: Option<&LoopFaults>,
 ) -> Result<(ClosedLoopReport, Vec<Event>, FleetStats), EngineError> {
     let mut log = EventLog::new();
-    let (report, stats) = wakeup::run(strategies, cfg, seed, faults, Some(&mut log))?;
+    let (report, stats) = run_wakeup(strategies, cfg, seed, faults, Some(&mut log))?;
     Ok((report, log.into_events(), stats))
 }
 
@@ -582,6 +649,14 @@ mod tests {
         assert!(run_closed_loop(&[BiddingStrategy::OnDemand], &bad, 1).is_err());
         let bad = ClosedLoopConfig {
             slot_len: Hours::from_minutes(10.0),
+            ..cfg
+        };
+        assert!(run_closed_loop(&[BiddingStrategy::OnDemand], &bad, 1).is_err());
+        let bad = ClosedLoopConfig {
+            supply: Supply::Finite {
+                capacity: 0,
+                policy: spotbid_market::ProviderPolicy::StaticSplit { reserved: 0 },
+            },
             ..cfg
         };
         assert!(run_closed_loop(&[BiddingStrategy::OnDemand], &bad, 1).is_err());

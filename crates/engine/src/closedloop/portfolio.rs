@@ -14,11 +14,12 @@
 //! - [`dense`] — the original fleet, every tenant re-evaluated every
 //!   slot. Frozen as the equivalence oracle, exactly like
 //!   [`crate::closedloop::dense`].
-//! - `wakeup` (private; behind [`run_portfolio_loop`]) — the event-driven
-//!   default: one price-indexed wakeup book per member market, a shared
-//!   pooled calendar, and O(1) skipping of slots where no market's wake
-//!   set fires. Bit-identical to [`dense`]
-//!   (`tests/portfolio_wakeup_equiv.rs`).
+//! - `wakeup` (behind [`run_portfolio_loop`]) — the event-driven fleet:
+//!   one price-indexed wakeup book per member market, a shared pooled
+//!   calendar, and O(1) skipping of slots where no market's wake set
+//!   fires. Bit-identical to [`dense`] (`tests/portfolio_wakeup_equiv.rs`).
+//!   It is the only wakeup fleet: the single-market
+//!   [`super::run_closed_loop`] runs it as the M = 1 portfolio.
 //!
 //! ## RNG stream layout
 //!
@@ -29,19 +30,21 @@
 //!   (count and bid prices),
 //! - stream `2M` — the shared arrival shock,
 //! - streams `2M+1 …` — reserved one-per-decision-shard (never drawn
-//!   from today, exactly like the single-market fleets).
+//!   from today, exactly like the single-market oracle's).
 //!
-//! At `M = 1` with a zero shared rate this collapses to the historical
+//! At `M = 1` with a zero shared rate this collapses to the single-market
 //! layout — stream 0 market, stream 1 background, shared stream untouched
-//! (a zero-mean Poisson draws nothing) — which is what makes the
-//! degenerate-portfolio parity tests in `tests/portfolio.rs` possible:
-//! a one-market [`run_portfolio_loop`] with
-//! [`PortfolioStrategy::ZoneFallback`] reproduces [`super::run_closed_loop`]
-//! outcome-for-outcome and event-for-event.
+//! (a zero-mean Poisson draws nothing) — which is what lets
+//! [`super::run_closed_loop`] run as a one-market portfolio of
+//! [`PortfolioStrategy::ZoneFallback`] tenants, bit-identical to the
+//! frozen [`crate::closedloop::dense`] oracle. Its on-demand churn
+//! (`OdChurn`) draws from stream `2 + ⌈N/64⌉`, the single-market index;
+//! at M = 1 that aliases the last reserved shard stream, which nothing
+//! ever draws from.
 //!
 //! ## Determinism contract
 //!
-//! As in the single-market fleets (§5e/§5f): plan resolution is pure and
+//! As in the single-market oracle (§5e/§5f): plan resolution is pure and
 //! fans out over `spotbid-exec` shards, while bid submission (which
 //! assigns per-market [`spotbid_market::sim::BidId`]s), event emission,
 //! and report processing stay serial in ascending tenant order, with each
@@ -49,11 +52,12 @@
 //! bit-identical at any `SPOTBID_THREADS`.
 
 pub mod dense;
-mod wakeup;
+pub(super) mod wakeup;
 
 pub use wakeup::PortfolioFleetStats;
 
 use super::LoopFaults;
+use crate::billing::Bill;
 use crate::event::Event;
 use crate::kernel::{JobDriver, Kernel};
 use crate::observer::{BillingObserver, EventLog, Observer};
@@ -108,8 +112,9 @@ pub struct PortfolioLoopConfig {
 impl PortfolioLoopConfig {
     /// The degenerate one-market portfolio equivalent of a single-market
     /// [`super::ClosedLoopConfig`]: same market, same background process
-    /// (all idiosyncratic, zero shared shock), same horizon. Used by the
-    /// parity wall to pin the M=1 case to the historical path.
+    /// (all idiosyncratic, zero shared shock), same horizon. The
+    /// single-market loop runs as this portfolio (its on-demand churn
+    /// aside, which only its own adapter sets).
     pub fn single(cfg: &super::ClosedLoopConfig, name: impl Into<String>) -> Self {
         PortfolioLoopConfig {
             markets: vec![PortfolioMarket {
@@ -171,6 +176,20 @@ pub struct PortfolioReport {
     pub provider: Vec<Option<ProviderReport>>,
 }
 
+/// On-demand churn of a single-market session: each slot every active
+/// on-demand instance of market 0 departs with probability `departure`,
+/// then `Poisson(arrivals)` new requests contend for its pool. Set only by
+/// the [`super::run_closed_loop`] adapter, under finite supply.
+#[derive(Debug)]
+pub(super) struct OdChurn {
+    /// The churn's own substream (see the module's stream layout).
+    pub(super) rng: Rng,
+    /// Mean on-demand requests per slot.
+    pub(super) arrivals: f64,
+    /// Per-slot departure probability of each active instance.
+    pub(super) departure: f64,
+}
+
 /// M endogenous markets as one kernel price source: each slot the
 /// correlated background arrives, every market clears, and each posted
 /// price is appended to that market's observed history (unless a
@@ -191,6 +210,8 @@ struct PortfolioSource {
     /// Per-market prices that reached the tenants' feed.
     observed: Vec<Vec<Price>>,
     faults: Option<Vec<LoopFaults>>,
+    /// On-demand churn in market 0 (single-market sessions only).
+    od: Option<OdChurn>,
     /// Scratch: this slot's arrival counts.
     counts: Vec<u64>,
     /// Recycled report buffers (the quote arena).
@@ -202,6 +223,7 @@ impl PortfolioSource {
         cfg: &PortfolioLoopConfig,
         streams: &RngStreams,
         faults: Option<&[LoopFaults]>,
+        od: Option<OdChurn>,
     ) -> Result<Self, EngineError> {
         let m = cfg.markets.len();
         let specs: Vec<MarketSpec> = cfg
@@ -242,6 +264,7 @@ impl PortfolioSource {
             posted: vec![Vec::new(); m],
             observed: vec![Vec::new(); m],
             faults: faults.map(<[LoopFaults]>::to_vec),
+            od,
             counts: Vec::new(),
             spare: None,
         })
@@ -254,6 +277,22 @@ impl PortfolioSource {
                 if f.reclaim_at(slot) {
                     self.set.reclaim_next_slot(m);
                 }
+            }
+        }
+        if let Some(od) = self.od.as_mut() {
+            // Admissions shrink the spot share the market clears this
+            // slot, and may force it to reclaim running spot instances.
+            let market = self.set.market_mut(0);
+            let mut departed = 0u32;
+            for _ in 0..market.od_active() {
+                if od.rng.chance(od.departure) {
+                    departed += 1;
+                }
+            }
+            market.release_on_demand(departed);
+            let requested = od.rng.poisson(od.arrivals).min(u64::from(u32::MAX)) as u32;
+            if requested > 0 {
+                market.request_on_demand(requested);
             }
         }
         self.arrivals
@@ -349,11 +388,11 @@ impl PriceSource for PortfolioSource {
 }
 
 fn validate(
-    strategies: &[PortfolioStrategy],
+    tenants: usize,
     cfg: &PortfolioLoopConfig,
     faults: Option<&[LoopFaults]>,
 ) -> Result<(), EngineError> {
-    if strategies.is_empty() {
+    if tenants == 0 {
         return Err(EngineError::InvalidConfig {
             what: "no tenants".into(),
         });
@@ -373,6 +412,13 @@ fn validate(
         return Err(EngineError::InvalidConfig {
             what: "arrival rates must be finite and ≥ 0".into(),
         });
+    }
+    for mk in &cfg.markets {
+        if let Supply::Finite { capacity: 0, .. } = mk.supply {
+            return Err(EngineError::InvalidConfig {
+                what: format!("market {}: finite supply needs capacity ≥ 1", mk.name),
+            });
+        }
     }
     cfg.job.validate().map_err(EngineError::Core)?;
     if cfg.job.slot != cfg.slot_len {
@@ -397,23 +443,22 @@ fn validate(
 /// One tenant's session-final state, extracted from a fleet for the
 /// shared report assembly — everything the §5.1 fallback and the outcome
 /// rows need, independent of the fleet's internal layout.
-struct TenantFinal {
-    tag: u32,
-    strategy: PortfolioStrategy,
-    completed: bool,
-    spot_slots: u64,
-    interruptions: u32,
-    resubmissions: u32,
+#[derive(Debug, Clone, Copy)]
+pub(super) struct TenantFinal {
+    pub(super) tag: u32,
+    pub(super) strategy: PortfolioStrategy,
+    pub(super) completed: bool,
+    pub(super) spot_slots: u64,
+    pub(super) interruptions: u32,
+    pub(super) resubmissions: u32,
     /// Execution work still uncovered at the horizon close (the §5.1
     /// on-demand fallback charge for incomplete tenants).
-    remaining: Hours,
+    pub(super) remaining: Hours,
 }
 
-/// The shared session shell both fleets run under: validation, source
-/// construction and warmup, the kernel loop, the §5.1 fallback, and the
-/// report assembly — all in a fixed order so every float accumulates
-/// identically whichever fleet ran. Returns the fleet alongside the
-/// report so callers can read fleet-specific telemetry.
+/// The dense oracle's session shell: validation, [`run_kernel`], and
+/// [`assemble`] over the fleet's final states. Returns the fleet alongside
+/// the report.
 fn run_session<F: JobDriver<PortfolioSource>>(
     strategies: &[PortfolioStrategy],
     cfg: &PortfolioLoopConfig,
@@ -423,10 +468,26 @@ fn run_session<F: JobDriver<PortfolioSource>>(
     make_fleet: impl FnOnce(&RngStreams) -> F,
     finals: impl FnOnce(&F) -> Vec<TenantFinal>,
 ) -> Result<(PortfolioReport, F), EngineError> {
-    validate(strategies, cfg, faults)?;
+    validate(strategies.len(), cfg, faults)?;
+    let (fleet, source, bill) = run_kernel(cfg, seed, faults, None, log, make_fleet)?;
+    let finals = finals(&fleet);
+    let report = assemble(finals.iter().copied(), bill, &source, cfg, portfolio_row)?;
+    Ok((report.into(), fleet))
+}
 
+/// Source construction and warmup, then the kernel loop over one fleet —
+/// shared by both fleets. Returns the fleet, the spent source, and the
+/// session's bill.
+fn run_kernel<F: JobDriver<PortfolioSource>>(
+    cfg: &PortfolioLoopConfig,
+    seed: u64,
+    faults: Option<&[LoopFaults]>,
+    od: Option<OdChurn>,
+    log: Option<&mut EventLog>,
+    make_fleet: impl FnOnce(&RngStreams) -> F,
+) -> Result<(F, PortfolioSource, Bill), EngineError> {
     let streams = RngStreams::new(seed);
-    let mut source = PortfolioSource::new(cfg, &streams, faults)?;
+    let mut source = PortfolioSource::new(cfg, &streams, faults, od)?;
     source.warmup(cfg.warmup_slots);
 
     let mut fleet = make_fleet(&streams);
@@ -444,13 +505,62 @@ fn run_session<F: JobDriver<PortfolioSource>>(
         };
         source = kernel.into_source();
     }
-    let mut bill = billing.into_bill();
-    let finals = finals(&fleet);
+    Ok((fleet, source, billing.into_bill()))
+}
 
-    // §5.1 fallback: incomplete tenants finish their remaining work on
-    // demand at the horizon close, in tag order (the float accumulation
-    // order is part of the parity contract with the single-market loop).
-    for t in &finals {
+/// A finished session: per-tenant rows of either loop's outcome type plus
+/// the per-market price summaries and provider telemetry.
+pub(super) struct Assembled<T> {
+    pub(super) tenants: Vec<T>,
+    pub(super) completed: usize,
+    pub(super) mean_savings: f64,
+    pub(super) mean_price: Vec<Price>,
+    pub(super) peak_price: Vec<Price>,
+    pub(super) slots: u64,
+    pub(super) provider: Vec<Option<ProviderReport>>,
+}
+
+impl From<Assembled<PortfolioTenantOutcome>> for PortfolioReport {
+    fn from(a: Assembled<PortfolioTenantOutcome>) -> Self {
+        PortfolioReport {
+            tenants: a.tenants,
+            completed: a.completed,
+            mean_savings: a.mean_savings,
+            mean_price: a.mean_price,
+            peak_price: a.peak_price,
+            slots: a.slots,
+            provider: a.provider,
+        }
+    }
+}
+
+/// A portfolio outcome row from a tenant's final state, cost, and savings.
+fn portfolio_row(t: TenantFinal, cost: Cost, savings: f64) -> PortfolioTenantOutcome {
+    PortfolioTenantOutcome {
+        tenant: t.tag,
+        strategy: t.strategy,
+        completed: t.completed,
+        spot_slots: t.spot_slots,
+        interruptions: t.interruptions,
+        resubmissions: t.resubmissions,
+        cost,
+        savings,
+    }
+}
+
+/// The §5.1 fallback plus the report, over the tenants' final states in
+/// tag order: incomplete tenants finish their remaining work on demand at
+/// the horizon close (the float accumulation order is part of the
+/// bit-equivalence contract), then costs are totalled per tag and each
+/// tenant becomes a `row`, next to the per-market price summaries.
+fn assemble<T>(
+    finals: impl ExactSizeIterator<Item = TenantFinal> + Clone,
+    mut bill: Bill,
+    source: &PortfolioSource,
+    cfg: &PortfolioLoopConfig,
+    row: impl Fn(TenantFinal, Cost, f64) -> T,
+) -> Result<Assembled<T>, EngineError> {
+    for t in finals.clone() {
         if !t.completed && t.remaining > Hours::ZERO {
             bill.try_charge_on_demand(
                 (cfg.warmup_slots + cfg.horizon_slots) as u64,
@@ -461,23 +571,20 @@ fn run_session<F: JobDriver<PortfolioSource>>(
         }
     }
     let od_cost = (cfg.on_demand * cfg.job.execution).as_f64();
-    let totals = bill.totals_by_tag(finals.len());
-    let outcomes: Vec<PortfolioTenantOutcome> = finals
-        .iter()
-        .map(|t| {
-            let cost = totals[t.tag as usize];
-            PortfolioTenantOutcome {
-                tenant: t.tag,
-                strategy: t.strategy,
-                completed: t.completed,
-                spot_slots: t.spot_slots,
-                interruptions: t.interruptions,
-                resubmissions: t.resubmissions,
-                cost,
-                savings: 1.0 - cost.as_f64() / od_cost,
-            }
-        })
-        .collect();
+    let n = finals.len();
+    let totals = bill.totals_by_tag(n);
+    // `Iterator::sum`'s own fold, so the mean is bit-identical to summing
+    // the savings column.
+    let mut savings_sum: f64 = std::iter::empty::<f64>().sum();
+    let mut completed = 0;
+    let mut tenants = Vec::with_capacity(n);
+    for t in finals {
+        let cost = totals[t.tag as usize];
+        let savings = 1.0 - cost.as_f64() / od_cost;
+        savings_sum += savings;
+        completed += usize::from(t.completed);
+        tenants.push(row(t, cost, savings));
+    }
     let mut mean_price = Vec::with_capacity(cfg.markets.len());
     let mut peak_price = Vec::with_capacity(cfg.markets.len());
     let mut slots = 0;
@@ -497,24 +604,24 @@ fn run_session<F: JobDriver<PortfolioSource>>(
     let provider = (0..cfg.markets.len())
         .map(|m| source.set.provider_report(m))
         .collect();
-    let report = PortfolioReport {
-        completed: outcomes.iter().filter(|o| o.completed).count(),
-        mean_savings: outcomes.iter().map(|o| o.savings).sum::<f64>() / outcomes.len() as f64,
-        tenants: outcomes,
+    Ok(Assembled {
+        tenants,
+        completed,
+        mean_savings: savings_sum / n as f64,
         mean_price,
         peak_price,
         slots,
         provider,
-    };
-    Ok((report, fleet))
+    })
 }
 
 /// Runs one portfolio closed-loop session: warms M correlated markets up
 /// with background load, then lets one tenant per strategy plan and bid
 /// across them for `horizon_slots`. Deterministic from `seed` at any
 /// thread count; at M=1 with [`PortfolioStrategy::ZoneFallback`] it
-/// reproduces the single-market [`super::run_closed_loop`] bit-for-bit
-/// (see `tests/portfolio.rs`).
+/// reproduces the frozen single-market oracle [`crate::closedloop::dense`]
+/// bit-for-bit (see `tests/portfolio.rs`) — it is what
+/// [`super::run_closed_loop`] runs.
 ///
 /// Runs the event-driven wakeup fleet; [`dense::run_portfolio_loop`] is
 /// the frozen dense oracle it is held bit-identical to.
@@ -526,14 +633,16 @@ fn run_session<F: JobDriver<PortfolioSource>>(
 /// # Errors
 ///
 /// [`EngineError::InvalidConfig`] for empty strategy or market lists, zero
-/// warmup or horizon, non-finite arrival rates, or a fault-plan/market
-/// count mismatch; [`EngineError::Core`] if a strategy fails to resolve.
+/// warmup or horizon, non-finite arrival rates, a zero-capacity finite
+/// member, or a fault-plan/market count mismatch; [`EngineError::Core`]
+/// if a strategy fails to resolve.
 pub fn run_portfolio_loop(
     strategies: &[PortfolioStrategy],
     cfg: &PortfolioLoopConfig,
     seed: u64,
 ) -> Result<PortfolioReport, EngineError> {
-    wakeup::run(strategies, cfg, seed, None, None).map(|(report, _)| report)
+    wakeup::run(strategies, cfg, seed, None, None, None, portfolio_row)
+        .map(|(report, _)| report.into())
 }
 
 /// As [`run_portfolio_loop`], also returning the wakeup fleet's
@@ -548,7 +657,8 @@ pub fn run_portfolio_loop_with_stats(
     cfg: &PortfolioLoopConfig,
     seed: u64,
 ) -> Result<(PortfolioReport, PortfolioFleetStats), EngineError> {
-    wakeup::run(strategies, cfg, seed, None, None)
+    wakeup::run(strategies, cfg, seed, None, None, None, portfolio_row)
+        .map(|(report, stats)| (report.into(), stats))
 }
 
 /// As [`run_portfolio_loop`], optionally fault-injected (one
@@ -565,8 +675,16 @@ pub fn run_portfolio_loop_logged(
     faults: Option<&[LoopFaults]>,
 ) -> Result<(PortfolioReport, Vec<Event>), EngineError> {
     let mut log = EventLog::new();
-    let (report, _) = wakeup::run(strategies, cfg, seed, faults, Some(&mut log))?;
-    Ok((report, log.into_events()))
+    let (report, _) = wakeup::run(
+        strategies,
+        cfg,
+        seed,
+        faults,
+        None,
+        Some(&mut log),
+        portfolio_row,
+    )?;
+    Ok((report.into(), log.into_events()))
 }
 
 #[cfg(test)]
@@ -750,5 +868,15 @@ mod tests {
         // One fault plan for two markets.
         let r = run_portfolio_loop_logged(&strats, &cfg, 1, Some(&[LoopFaults::default()]));
         assert!(r.is_err());
+        // A zero-server finite member, refused like the single-market loop.
+        let mut bad = cfg.clone();
+        bad.markets[1].supply = Supply::Finite {
+            capacity: 0,
+            policy: spotbid_market::ProviderPolicy::StaticSplit { reserved: 0 },
+        };
+        assert!(matches!(
+            run_portfolio_loop(&strats, &bad, 1),
+            Err(EngineError::InvalidConfig { .. })
+        ));
     }
 }

@@ -1,32 +1,42 @@
-//! The event-driven portfolio fleet: touch a tenant only when one of its
-//! markets does something it cares about (DESIGN.md §5j).
+//! The event-driven wakeup fleet — the only one: every closed loop runs
+//! on it, the single-market loop as the M = 1 portfolio (DESIGN.md §5j).
 //!
-//! The dense portfolio fleet walks every tenant's legs against every
-//! market report every slot. This fleet generalizes the single-market
-//! wakeup machinery ([`crate::closedloop::wakeup`]) to M markets:
+//! The dense fleets walk every tenant against every market report every
+//! slot. This fleet touches a tenant only when one of its markets does
+//! something it cares about. A slot wakes exactly
 //!
-//! - **one price-indexed wakeup book per member market** — the same
-//!   512-bucket classifier and ulp-repair walk as §5f, but registering
-//!   *leg handles* (a tenant can hold several pending legs in one
-//!   market), each mapping back to its owner;
-//! - **one shared pooled calendar** for expected leg finishes and the
-//!   unconditional re-wakes armed while a bid sits parked in some
-//!   market — after that market's reclamation outage, or after its
-//!   finite-supply capacity pass named the bid in
-//!   [`SlotReport::evicted`];
-//! - **fresh** tenants whose plan was applied this slot, and **running**
-//!   tenants (≥ 1 running leg accrues a charge every slot by §3.2);
-//! - a slot where no market's wake set fires and nothing runs is
-//!   *skipped in O(1)* ([`PortfolioFleetStats::skipped_slots`]).
+//! - **fresh** tenants whose plan was applied this slot (new bids, and
+//!   on-demand resolutions awaiting their `Completed` turn);
+//! - **calendar** hits: tenants with a running leg due to finish this
+//!   slot (scheduled at start from the leg's remaining slots, exactly the
+//!   market's own finish calendar), plus unconditional re-wakes armed
+//!   while a leg sits parked in some market — after that market's
+//!   reclamation outage, or after its finite-supply capacity pass named
+//!   the bid in [`SlotReport::evicted`];
+//! - **swept** tenants: when market m's price falls from `p_prev` to `p`,
+//!   its price-indexed book yields the owner of every pending leg with
+//!   threshold in `[p, p_prev)` — the only pending legs that market's own
+//!   sweep can have started;
+//! - **running** tenants (≥ 1 running leg accrues a charge every slot by
+//!   §3.2, so there is no skipping them — but quiet fleets have none).
 //!
-//! Wakeups are processed in ascending tenant order with each tenant's
-//! legs in plan order, plans fan out over the same 64-tenant shards with
-//! the same reserved RNG substreams, and bid submission stays serial — so
-//! per-market bid ids, event order, bills, and RNG draws are
-//! **bit-identical** to the frozen [`super::dense`] oracle at any
-//! `SPOTBID_THREADS` (`tests/portfolio_wakeup_equiv.rs`).
+//! A slot where all four sets are empty is *skipped* in O(1)
+//! ([`PortfolioFleetStats::skipped_slots`]); fault-free, those are
+//! exactly the dense run's zero-activity slots.
+//!
+//! Tenant state lives in struct-of-arrays columns and every live leg in
+//! one fleet-wide slab, linked per owner in plan order. Wakeups are
+//! processed in ascending tenant order with each tenant's legs in plan
+//! order, plans fan out over the same 64-tenant shards, and bid
+//! submission stays serial — so per-market bid ids, event order, bills,
+//! and RNG draws are **bit-identical** to the frozen dense oracles at any
+//! `SPOTBID_THREADS` (`tests/portfolio_wakeup_equiv.rs`, and
+//! `tests/wakeup_equiv.rs` at M = 1).
 
-use super::{run_session, PortfolioLoopConfig, PortfolioReport, PortfolioSource, TenantFinal};
+use super::{
+    assemble, run_kernel, validate, Assembled, OdChurn, PortfolioLoopConfig, PortfolioSource,
+    TenantFinal,
+};
 use crate::billing::{LineItem, UsageKind};
 use crate::closedloop::dense::SHARD_SIZE;
 use crate::closedloop::LoopFaults;
@@ -34,23 +44,49 @@ use crate::event::Event;
 use crate::kernel::{DriverStatus, JobDriver};
 use crate::observer::EventLog;
 use crate::EngineError;
-use spotbid_core::portfolio::{PortfolioPlan, PortfolioStrategy};
-use spotbid_core::{BidDecision, CoreError, JobSpec};
+use spotbid_core::portfolio::{PortfolioLeg, PortfolioStrategy};
+use spotbid_core::{BidDecision, BiddingStrategy, CoreError, JobSpec};
 use spotbid_market::params::MarketParams;
 use spotbid_market::sim::{BidId, BidKind, BidRequest, SlotReport, WorkModel};
-use spotbid_market::units::{Hours, Price};
-use spotbid_numerics::rng::{Rng, RngStreams};
+use spotbid_market::units::{Cost, Hours, Price};
 use std::collections::BTreeMap;
 
 /// Wakeup-bucket count per market book — matches the market bid-book
-/// resolution, same as the single-market fleet.
+/// resolution so a sweep touches comparable boundary work on both sides
+/// of the loop.
 const WAKE_BUCKETS: usize = 512;
+/// Needy tenants whose plans are resolved per parallel batch: bounds the
+/// plan buffers of a large submit wave. A multiple of [`SHARD_SIZE`], so
+/// the shard cuts are the dense fleets'.
+const PLAN_BATCH: usize = 1024 * SHARD_SIZE;
 
-/// `pos_of` sentinel: leg handle not registered in any bucket.
-const NO_POS: u32 = u32::MAX;
+/// Slab-handle sentinel: no leg (end of an owner's list), and the bucket
+/// position of a leg not filed in its book.
+const NIL: u32 = u32::MAX;
+/// `Leg::market` flag bit: the leg is running.
+const L_RUNNING: u32 = 1 << 31;
+/// `Leg::market` flag bit: the leg has a successor in its owner's list,
+/// whose handle is its [`LegCold::next`].
+const L_LINKED: u32 = 1 << 30;
+/// `Leg::market` bits holding the market index (far below `2^30`).
+const L_MARKET: u32 = L_LINKED - 1;
+/// Market index of a vacant anchor: a tenant's home slot holding no leg.
+const VACANT: u32 = L_MARKET;
 /// Calendar-entry flag bit: wake unconditionally. Tenant indices are
 /// asserted `< 2^31`, so the bit never collides.
 const UNCOND: u32 = 1 << 31;
+
+// Tenant state flags (the `flags` column).
+/// Finished for the session.
+const T_DONE: u8 = 1 << 0;
+/// Job work completed (spot finish or on-demand resolution).
+const T_COMPLETED: u8 = 1 << 1;
+/// Fully covered on demand: charged already, reports done at next wake.
+const T_DONE_PENDING: u8 = 1 << 2;
+/// Queued in `needy` for a (re-)plan at the next `before_slot`.
+const T_NEEDS_SUBMIT: u8 = 1 << 3;
+/// Lost work whose resubmission budget ran out is abandoned.
+const T_GAVE_UP: u8 = 1 << 4;
 
 /// Wakeup accounting for one portfolio session — the multi-market
 /// sibling of [`crate::closedloop::FleetStats`].
@@ -67,27 +103,186 @@ pub struct PortfolioFleetStats {
     pub swept: Vec<u64>,
 }
 
-/// Price-indexed wakeup buckets over one market's *pending* legs. Unlike
-/// the single-market book (tenant-keyed), entries are stable leg
-/// *handles* from a slab free-list — a tenant may hold several pending
-/// legs in the same market — and a sweep yields each crossed leg's
-/// owner. Same bucket classifier as the market bid-book, including the
-/// ulp-repair walk.
+/// A tenant strategy the fleet plans with. The fleet borrows the caller's
+/// strategies rather than copying them, and derives a zone-fallback
+/// tenant's current home from its resubmission count.
+pub(crate) trait FleetStrategy: Copy + Sync {
+    /// The portfolio strategy this tenant plans with after `rotations`
+    /// cross-zone fallbacks over `markets` member markets.
+    fn plan_as(self, rotations: u32, markets: usize) -> PortfolioStrategy;
+}
+
+impl FleetStrategy for PortfolioStrategy {
+    fn plan_as(self, rotations: u32, markets: usize) -> PortfolioStrategy {
+        match self {
+            // Every fallback re-homes to the next zone over.
+            PortfolioStrategy::ZoneFallback { home, base } if rotations > 0 => {
+                PortfolioStrategy::ZoneFallback {
+                    home: (home % markets + rotations as usize % markets) % markets,
+                    base,
+                }
+            }
+            other => other,
+        }
+    }
+}
+
+impl FleetStrategy for BiddingStrategy {
+    /// A single-market strategy is the one-zone `ZoneFallback { home: 0 }`.
+    fn plan_as(self, rotations: u32, markets: usize) -> PortfolioStrategy {
+        PortfolioStrategy::ZoneFallback {
+            home: 0,
+            base: self,
+        }
+        .plan_as(rotations, markets)
+    }
+}
+
+/// One live spot leg: the fields every slot of a running leg reads, kept
+/// apart from its [`LegCold`] half so the busy path streams 8 bytes a
+/// leg — no more than a single-bid tenant's bid id.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    /// The market's bid id (the market caps its ids below `2^32`).
+    bid: u32,
+    /// The market index, with the [`L_RUNNING`] and [`L_LINKED`] flags.
+    market: u32,
+}
+
+impl Leg {
+    const VACANT: Leg = Leg {
+        bid: u32::MAX,
+        market: VACANT,
+    };
+
+    fn bid_id(&self) -> BidId {
+        BidId(u64::from(self.bid))
+    }
+
+    fn vacant(&self) -> bool {
+        self.market & L_MARKET == VACANT
+    }
+
+    fn market(&self) -> usize {
+        (self.market & L_MARKET) as usize
+    }
+
+    fn running(&self) -> bool {
+        self.market & L_RUNNING != 0
+    }
+
+    fn linked(&self) -> bool {
+        self.market & L_LINKED != 0
+    }
+}
+
+/// The rest of a leg: touched only when it starts or stops running or
+/// its market's book is swept.
+#[derive(Debug, Clone, Copy)]
+struct LegCold {
+    /// The bid price: the leg's wake threshold in its market's book.
+    threshold: f64,
+    /// Expected finish slot of the current run streak (valid while the
+    /// leg runs; stale calendar entries are validated against it on pop).
+    due: u64,
+    owner: u32,
+    /// Slots of work the leg owed when it last stopped running (its
+    /// assignment before it first starts). While running it owes
+    /// `due − slot + 1` at the start of `slot`, so a running slot writes
+    /// nothing to the leg.
+    left: u32,
+    /// Position in its book bucket, [`NIL`] while not filed.
+    pos: u32,
+    /// The owner's next leg in plan order (valid while [`Leg::linked`]).
+    next: u32,
+    bucket: u16,
+}
+
+/// Every live leg of the fleet, indexed by handle. Handle `t < N` is
+/// tenant t's *anchor*: the head of its leg list in plan order, holding
+/// its first leg or, when [`Leg::vacant`], only the link to the rest. A
+/// tenant with one leg at a time (every tenant at M = 1) keeps it in its
+/// anchor, so the busy path reads the slab in tenant order. Further legs
+/// take overflow handles `≥ N`, recycled through a free list.
+#[derive(Debug, Default)]
+struct LegSlab {
+    legs: Vec<Leg>,
+    cold: Vec<LegCold>,
+    free: Vec<u32>,
+}
+
+impl LegSlab {
+    /// A slab of `n` vacant anchors.
+    fn new(n: usize) -> Self {
+        let cold = LegCold {
+            threshold: 0.0,
+            due: 0,
+            owner: 0,
+            left: 0,
+            pos: NIL,
+            next: NIL,
+            bucket: 0,
+        };
+        LegSlab {
+            legs: vec![Leg::VACANT; n],
+            cold: vec![cold; n],
+            free: Vec::new(),
+        }
+    }
+
+    /// The first live leg of tenant `t`'s list, [`NIL`] when it has none.
+    fn first(&self, t: u32) -> u32 {
+        if self.legs[t as usize].vacant() {
+            self.next(t)
+        } else {
+            t
+        }
+    }
+
+    /// The leg after `h` in its owner's list, [`NIL`] at the end.
+    fn next(&self, h: u32) -> u32 {
+        if self.legs[h as usize].linked() {
+            self.cold[h as usize].next
+        } else {
+            NIL
+        }
+    }
+
+    /// Makes `next` the leg after `h` ([`NIL`] ends the list there).
+    fn link(&mut self, h: u32, next: u32) {
+        let hu = h as usize;
+        if next == NIL {
+            self.legs[hu].market &= !L_LINKED;
+        } else {
+            self.legs[hu].market |= L_LINKED;
+            self.cold[hu].next = next;
+        }
+    }
+
+    /// Claims an overflow handle.
+    fn alloc(&mut self, leg: Leg, cold: LegCold) -> u32 {
+        if let Some(h) = self.free.pop() {
+            self.legs[h as usize] = leg;
+            self.cold[h as usize] = cold;
+            h
+        } else {
+            self.legs.push(leg);
+            self.cold.push(cold);
+            (self.legs.len() - 1) as u32
+        }
+    }
+}
+
+/// Price-indexed wakeup buckets over one market's *pending* legs. Entries
+/// are slab handles; each leg's [`LegCold`] half records its bucket and
+/// position. Same bucket classifier as the market bid-book, including the
+/// ulp-repair walk, so a leg and its bid always agree on which side of a
+/// price crossing they sit.
 #[derive(Debug)]
 struct LegBook {
     buckets: Vec<Vec<u32>>,
     lo: f64,
     w: f64,
-    /// Bid price per handle (written at alloc, read at registration and
-    /// sweep filtering).
-    threshold: Vec<f64>,
-    /// Owning tenant per handle.
-    owner: Vec<u32>,
-    bucket_of: Vec<u32>,
-    /// Position in the bucket list, [`NO_POS`] when unregistered.
-    pos_of: Vec<u32>,
-    /// Released handles awaiting reuse.
-    free: Vec<u32>,
 }
 
 impl LegBook {
@@ -96,89 +291,53 @@ impl LegBook {
             buckets: vec![Vec::new(); WAKE_BUCKETS],
             lo: params.pi_min.as_f64(),
             w: params.spread().as_f64() / WAKE_BUCKETS as f64,
-            threshold: Vec::new(),
-            owner: Vec::new(),
-            bucket_of: Vec::new(),
-            pos_of: Vec::new(),
-            free: Vec::new(),
         }
     }
 
-    /// Claims a handle for a new leg (unregistered until the owner's
-    /// first slot update sees it pending).
-    fn alloc(&mut self, owner: u32, threshold: f64) -> u32 {
-        if let Some(h) = self.free.pop() {
-            let hu = h as usize;
-            self.threshold[hu] = threshold;
-            self.owner[hu] = owner;
-            self.pos_of[hu] = NO_POS;
-            h
-        } else {
-            let h = self.threshold.len() as u32;
-            self.threshold.push(threshold);
-            self.owner.push(owner);
-            self.bucket_of.push(0);
-            self.pos_of.push(NO_POS);
-            h
-        }
-    }
-
-    /// Returns a finished/terminated leg's handle to the free list.
-    fn release(&mut self, h: u32) {
-        if self.registered(h) {
-            self.unregister(h);
-        }
-        self.free.push(h);
-    }
-
-    fn registered(&self, h: u32) -> bool {
-        self.pos_of[h as usize] != NO_POS
-    }
-
-    fn register(&mut self, h: u32) {
-        let hu = h as usize;
-        debug_assert!(!self.registered(h), "leg handle {h} already registered");
-        let b = self.bucket_index(self.threshold[hu]);
-        self.bucket_of[hu] = b as u32;
-        self.pos_of[hu] = self.buckets[b].len() as u32;
+    /// Files leg `h` under its threshold.
+    fn insert(&mut self, cold: &mut [LegCold], h: u32) {
+        let f = &mut cold[h as usize];
+        let b = self.bucket_index(f.threshold);
+        f.bucket = b as u16;
+        f.pos = self.buckets[b].len() as u32;
         self.buckets[b].push(h);
     }
 
-    fn unregister(&mut self, h: u32) {
-        let hu = h as usize;
-        let b = self.bucket_of[hu] as usize;
-        let p = self.pos_of[hu] as usize;
-        let list = &mut self.buckets[b];
-        debug_assert_eq!(list[p], h);
-        list.swap_remove(p);
-        if let Some(&moved) = list.get(p) {
-            self.pos_of[moved as usize] = p as u32;
+    /// Unfiles leg `h`, patching the position of the leg moved into its
+    /// place.
+    fn remove(&mut self, cold: &mut [LegCold], h: u32) {
+        let LegCold { pos, bucket, .. } = cold[h as usize];
+        let list = &mut self.buckets[usize::from(bucket)];
+        list.swap_remove(pos as usize);
+        if let Some(&moved) = list.get(pos as usize) {
+            cold[moved as usize].pos = pos;
         }
-        self.pos_of[hu] = NO_POS;
+        cold[h as usize].pos = NIL;
     }
 
-    /// Pushes the *owner* of every registered leg whose threshold lies in
-    /// `[pf, pp)`-or-above within the crossed bucket range — the only
-    /// pending legs this market's own sweep can have started. Owners may
-    /// repeat (several crossed legs); the caller dedups.
-    fn sweep_fall(&self, pf: f64, pp: f64, out: &mut Vec<u32>) {
+    /// Pushes the *owner* of every filed leg whose threshold lies in
+    /// `[pf, pp)`-or-above within the crossed bucket range: the boundary
+    /// bucket is filtered exactly, inner buckets are taken wholesale
+    /// (fault-free their thresholds are `< pp` by the pending-resident
+    /// invariant; a parked-bid leftover above `pp` only ever produces a
+    /// harmless spurious wake). Owners may repeat; the caller dedups.
+    fn sweep_fall(&self, cold: &[LegCold], pf: f64, pp: f64, out: &mut Vec<u32>) {
         let k_lo = self.bucket_index(pf);
         let k_hi = self.bucket_index(pp);
         for &h in &self.buckets[k_lo] {
-            if self.threshold[h as usize] >= pf {
-                out.push(self.owner[h as usize]);
+            let f = &cold[h as usize];
+            if f.threshold >= pf {
+                out.push(f.owner);
             }
         }
         for b in (k_lo + 1)..=k_hi {
-            for &h in &self.buckets[b] {
-                out.push(self.owner[h as usize]);
-            }
+            out.extend(self.buckets[b].iter().map(|&h| cold[h as usize].owner));
         }
     }
 
-    /// Bucket for price `p` — same classifier as the market bid-book:
-    /// clamped linear index plus an exact repair walk, so float error in
-    /// the division can never misfile a boundary price.
+    /// Bucket for price `p`: clamped linear index plus an exact repair
+    /// walk, so float error in the division can never misfile a boundary
+    /// price.
     fn bucket_index(&self, p: f64) -> usize {
         let raw = (p - self.lo) / self.w;
         let mut i = if raw.is_finite() {
@@ -202,75 +361,6 @@ impl LegBook {
     }
 }
 
-/// One live spot position — the dense fleet's `Leg` plus the wakeup
-/// bookkeeping (book handle, scheduled finish).
-#[derive(Debug, Clone, Copy)]
-struct WLeg {
-    market: u32,
-    bid_id: BidId,
-    /// Slots of work this leg was submitted for.
-    assigned: u32,
-    /// Slots it has run so far.
-    ran: u32,
-    running: bool,
-    /// Handle in `books[market]`, valid for the leg's lifetime.
-    handle: u32,
-    /// Expected finish slot of the current run streak (valid while
-    /// `running`; stale calendar entries are validated on pop).
-    due: u64,
-}
-
-/// One portfolio tenant — the dense fleet's `PortfolioTenant` plus a
-/// running-leg count for run-list membership. The tenant's tag is its
-/// fleet index. Legs stay a per-tenant vector (plan order is part of the
-/// determinism contract and M is small); the wake-hot columns — done,
-/// armed_until, run-leg membership — live struct-of-arrays in the fleet.
-#[derive(Debug)]
-struct WTenant {
-    strategy: PortfolioStrategy,
-    /// Slots of work awaiting (re-)submission.
-    pending: u64,
-    /// Live spot legs, in plan (ascending-market) submission order.
-    legs: Vec<WLeg>,
-    /// On-demand work already charged (contract legs and od decisions).
-    od_charged: Hours,
-    slots_run: u64,
-    interruptions: u32,
-    resubmissions: u32,
-    completed: bool,
-    done_pending: bool,
-    needs_submit: bool,
-    /// Lost work whose resubmission budget ran out is abandoned.
-    gave_up: bool,
-    /// Legs currently running (tenant is in the run list iff > 0).
-    run_legs: u32,
-}
-
-impl WTenant {
-    fn new(strategy: PortfolioStrategy, cfg: &PortfolioLoopConfig) -> Self {
-        WTenant {
-            strategy,
-            pending: cfg.job.slots_needed(),
-            legs: Vec::new(),
-            od_charged: Hours::ZERO,
-            slots_run: 0,
-            interruptions: 0,
-            resubmissions: 0,
-            completed: false,
-            done_pending: false,
-            needs_submit: true,
-            gave_up: false,
-            run_legs: 0,
-        }
-    }
-
-    /// Execution work still uncovered by spot slots run and on-demand
-    /// charges.
-    fn remaining_work(&self, job: &JobSpec) -> Hours {
-        (job.execution - job.slot * self.slots_run as f64 - self.od_charged).max(Hours::ZERO)
-    }
-}
-
 /// Appends a wake entry to a slot's calendar list, recycling spent
 /// vectors through the pool.
 fn calendar_push(
@@ -285,29 +375,43 @@ fn calendar_push(
         .push(entry);
 }
 
-/// The event-driven portfolio fleet. See the module docs for the
-/// wake-set contract.
-struct PortfolioWakeupFleet {
+/// The event-driven fleet: struct-of-arrays tenant columns, a leg slab,
+/// one wakeup book per market, a shared calendar, and a sorted running
+/// list. See the module docs for the wake-set contract.
+///
+/// Decision shard `s` owns RNG stream `2M + 1 + s`, as in the dense
+/// fleets; no strategy draws from it, so the fleet materializes none.
+struct WakeupFleet<'a, S> {
     // Session-wide configuration.
     job: JobSpec,
     on_demand: Price,
     max_resubmissions: u32,
 
-    // Tenant state (tag = index).
-    tenants: Vec<WTenant>,
-    done: Vec<bool>,
-    /// Target slot of each tenant's last unconditional calendar arm —
-    /// the already-armed guard against duplicate wake entries.
+    // Tenant columns, indexed by tag.
+    strategies: &'a [S],
+    flags: Vec<u8>,
+    /// Slots of work awaiting (re-)submission.
+    pending: Vec<u64>,
+    /// On-demand work already charged (contract legs, on-demand plans).
+    od_charged: Vec<Hours>,
+    slots_run: Vec<u64>,
+    interruptions: Vec<u32>,
+    /// Also the tenant's zone-fallback rotation count.
+    resubmissions: Vec<u32>,
+    /// Target slot of the tenant's last unconditional calendar arm — the
+    /// already-armed guard against duplicate wake entries.
     armed_until: Vec<u64>,
 
     // Wakeup machinery.
+    slab: LegSlab,
     /// One price-indexed book of pending legs per member market.
     books: Vec<LegBook>,
-    /// Shared calendar: slot → wake entries (tenant index, optionally
-    /// [`UNCOND`]-flagged), pooled like the single-market fleet's.
+    /// slot → wake entries (tenant index, optionally [`UNCOND`]-flagged).
     calendar: BTreeMap<u64, Vec<u32>>,
+    /// Spent calendar vectors, recycled to keep steady state
+    /// allocation-free.
     cal_pool: Vec<Vec<u32>>,
-    /// Tenants with ≥ 1 running leg, ascending (rebuilt by sorted merge).
+    /// Tenants with ≥ 1 running leg, ascending.
     running: Vec<u32>,
     /// Tenants whose plan was applied this `before_slot`.
     fresh: Vec<u32>,
@@ -321,7 +425,6 @@ struct PortfolioWakeupFleet {
     /// Per-market kernel-slot-indexed reclamation outages (warmup offset
     /// already applied). Empty when fault-free.
     reclaim_masks: Vec<Vec<bool>>,
-    shard_rngs: Vec<Rng>,
     /// Live spot legs per market (the kernel's per-market demand signal).
     live: Vec<u32>,
     stats: PortfolioFleetStats,
@@ -329,38 +432,28 @@ struct PortfolioWakeupFleet {
     // Scratch buffers (steady state allocates nothing per slot).
     sc_woken: Vec<u32>,
     sc_order: Vec<u32>,
-    sc_started: Vec<u32>,
-    sc_removed: Vec<u32>,
-    sc_run_next: Vec<u32>,
+    sc_running: Vec<u32>,
     sc_outage: Vec<bool>,
 }
 
-impl PortfolioWakeupFleet {
-    fn new(
-        strategies: &[PortfolioStrategy],
-        cfg: &PortfolioLoopConfig,
-        streams: &RngStreams,
-        reclaim_masks: Vec<Vec<bool>>,
-    ) -> Self {
+impl<'a, S: FleetStrategy> WakeupFleet<'a, S> {
+    fn new(strategies: &'a [S], cfg: &PortfolioLoopConfig, reclaim_masks: Vec<Vec<bool>>) -> Self {
         let n = strategies.len();
-        assert!(
-            n < (1 << 31),
-            "portfolio wakeup fleet supports < 2^31 tenants"
-        );
+        assert!(n < (1 << 31), "wakeup fleet supports < 2^31 tenants");
         let m = cfg.markets.len();
-        // Identical substream reservation to the dense portfolio fleet:
-        // 0..2M+1 belong to the markets, arrivals, and the shared shock;
-        // the rest to decision shards.
-        let max_shards = n.div_ceil(SHARD_SIZE);
-        let mut chain = streams.streams(2 * m + 1 + max_shards);
-        let shard_rngs = chain.split_off(2 * m + 1);
-        PortfolioWakeupFleet {
+        WakeupFleet {
             job: cfg.job,
             on_demand: cfg.on_demand,
             max_resubmissions: cfg.max_resubmissions,
-            tenants: strategies.iter().map(|&s| WTenant::new(s, cfg)).collect(),
-            done: vec![false; n],
+            strategies,
+            flags: vec![T_NEEDS_SUBMIT; n],
+            pending: vec![cfg.job.slots_needed(); n],
+            od_charged: vec![Hours::ZERO; n],
+            slots_run: vec![0; n],
+            interruptions: vec![0; n],
+            resubmissions: vec![0; n],
             armed_until: vec![0; n],
+            slab: LegSlab::new(n),
             books: cfg
                 .markets
                 .iter()
@@ -374,7 +467,6 @@ impl PortfolioWakeupFleet {
             active: n,
             prev_price: vec![f64::INFINITY; m],
             reclaim_masks,
-            shard_rngs,
             live: vec![0; m],
             stats: PortfolioFleetStats {
                 swept: vec![0; m],
@@ -382,10 +474,40 @@ impl PortfolioWakeupFleet {
             },
             sc_woken: Vec::new(),
             sc_order: Vec::new(),
-            sc_started: Vec::new(),
-            sc_removed: Vec::new(),
-            sc_run_next: Vec::new(),
+            sc_running: Vec::new(),
             sc_outage: Vec::new(),
+        }
+    }
+
+    /// The handles of tenant `t`'s live legs, in plan order.
+    fn legs_of(&self, t: u32) -> impl Iterator<Item = usize> + '_ {
+        let mut h = self.slab.first(t);
+        std::iter::from_fn(move || {
+            (h != NIL).then(|| {
+                let hu = h as usize;
+                h = self.slab.next(h);
+                hu
+            })
+        })
+    }
+
+    /// Execution work still uncovered by spot slots run and on-demand
+    /// charges.
+    fn remaining_work(&self, tu: usize) -> Hours {
+        (self.job.execution - self.job.slot * self.slots_run[tu] as f64 - self.od_charged[tu])
+            .max(Hours::ZERO)
+    }
+
+    /// Tenant `i`'s session-final state for the shared report assembly.
+    fn final_state(&self, i: usize) -> TenantFinal {
+        TenantFinal {
+            tag: i as u32,
+            strategy: self.strategies[i].plan_as(self.resubmissions[i], self.books.len()),
+            completed: self.flags[i] & T_COMPLETED != 0,
+            spot_slots: self.slots_run[i],
+            interruptions: self.interruptions[i],
+            resubmissions: self.resubmissions[i],
+            remaining: self.remaining_work(i),
         }
     }
 
@@ -400,33 +522,37 @@ impl PortfolioWakeupFleet {
         }
     }
 
-    /// Acts on a resolved plan — byte-for-byte the dense fleet's
-    /// `apply_plan`, plus the wakeup bookkeeping (leg-handle allocation;
-    /// the caller queues the fresh wake).
-    #[allow(clippy::too_many_arguments)]
+    /// Acts on a resolved plan — the dense fleet's `apply_plan` over the
+    /// columns: charges on-demand legs and submits spot legs (appended to
+    /// the owner's list), scaling each leg's assignment down to the work
+    /// still pending. Serial in tenant order: bid ids are assigned here.
     fn apply_plan(
-        tenant: &mut WTenant,
+        &mut self,
         t: u32,
-        plan: &PortfolioPlan,
-        job: &JobSpec,
+        plan: &[PortfolioLeg],
         slot: u64,
         source: &mut PortfolioSource,
-        books: &mut [LegBook],
-        live: &mut [u32],
         emit: &mut dyn FnMut(Event),
     ) {
-        for leg in &plan.legs {
-            if tenant.pending == 0 {
+        let tu = t as usize;
+        // New legs append after the list's last node (the anchor itself
+        // when the list is empty).
+        let mut tail = t;
+        while self.slab.next(tail) != NIL {
+            tail = self.slab.next(tail);
+        }
+        for leg in plan {
+            let pending = self.pending[tu];
+            if pending == 0 {
                 break;
             }
             // A re-plan covers only the lost work: cap each leg at what is
             // still pending (the first plan partitions exactly, so this is
-            // the identity there — and `max(1)` mirrors the single-market
-            // fleet's defensive floor).
-            let assigned = leg.slots.min(tenant.pending).max(1);
+            // the identity there — and `max(1)` is a defensive floor).
+            let assigned = leg.slots.min(pending).max(1);
             match leg.decision {
                 BidDecision::OnDemand { price } => {
-                    let work = (job.slot * assigned as f64).min(tenant.remaining_work(job));
+                    let work = (self.job.slot * assigned as f64).min(self.remaining_work(tu));
                     if work > Hours::ZERO {
                         emit(Event::Charged {
                             item: LineItem {
@@ -437,9 +563,8 @@ impl PortfolioWakeupFleet {
                                 tag: t,
                             },
                         });
-                        tenant.od_charged += work;
+                        self.od_charged[tu] += work;
                     }
-                    tenant.pending -= assigned;
                 }
                 BidDecision::Spot { price, persistent } => {
                     let id = source.set.submit(
@@ -454,18 +579,31 @@ impl PortfolioWakeupFleet {
                             work: WorkModel::FixedSlots(assigned as u32),
                         },
                     );
-                    let handle = books[leg.market].alloc(t, price.as_f64());
-                    tenant.legs.push(WLeg {
-                        market: leg.market as u32,
-                        bid_id: id,
-                        assigned: assigned as u32,
-                        ran: 0,
-                        running: false,
-                        handle,
-                        due: 0,
-                    });
-                    live[leg.market] += 1;
-                    tenant.pending -= assigned;
+                    let (new, cold) = (
+                        Leg {
+                            bid: u32::try_from(id.0).expect("bid ids stay below 2^32"),
+                            market: leg.market as u32,
+                        },
+                        LegCold {
+                            threshold: price.as_f64(),
+                            due: 0,
+                            owner: t,
+                            left: assigned as u32,
+                            pos: NIL,
+                            next: NIL,
+                            bucket: 0,
+                        },
+                    );
+                    if self.slab.legs[tail as usize].vacant() {
+                        // An empty list: the leg takes the anchor.
+                        self.slab.legs[tu] = new;
+                        self.slab.cold[tu] = cold;
+                    } else {
+                        let h = self.slab.alloc(new, cold);
+                        self.slab.link(tail, h);
+                        tail = h;
+                    }
+                    self.live[leg.market] += 1;
                     emit(Event::BidSubmitted {
                         slot,
                         tenant: t,
@@ -474,194 +612,153 @@ impl PortfolioWakeupFleet {
                     });
                 }
             }
+            self.pending[tu] -= assigned;
         }
-        if !tenant.completed && tenant.pending == 0 && tenant.legs.is_empty() {
+        if self.flags[tu] & T_COMPLETED == 0 && self.pending[tu] == 0 && self.slab.first(t) == NIL {
             // Everything was covered on demand: the job is done before the
-            // market even clears (same shape as the single-market
-            // on-demand decision).
-            tenant.completed = true;
-            tenant.done_pending = true;
+            // market even clears.
+            self.flags[tu] |= T_COMPLETED | T_DONE_PENDING;
             emit(Event::Completed { slot, tenant: t });
         }
     }
 
     /// Advances one woken tenant against every market's report — the
-    /// dense fleet's `slot_update` plus wakeup maintenance: started legs
-    /// leave their book and schedule their expected finish, removed legs
-    /// release their handle, idle pending legs (re-)register, and
-    /// termination re-plans queue into `needy` (guarded against
-    /// duplicates by the `needs_submit` flag). The caller tracks run-list
-    /// membership through `run_legs`.
-    #[allow(clippy::too_many_arguments)]
+    /// dense fleet's `slot_update` over the leg list, plus wakeup
+    /// maintenance: started legs leave their book and schedule their
+    /// expected finish, ended legs return to the slab, pending legs
+    /// (re-)file in their book, and termination re-plans queue into
+    /// `needy`. Returns whether the tenant is done, and whether it still
+    /// has a running leg.
     fn update_tenant(
-        tenant: &mut WTenant,
+        &mut self,
         t: u32,
         slot: u64,
         reports: &[SlotReport],
-        books: &mut [LegBook],
-        calendar: &mut BTreeMap<u64, Vec<u32>>,
-        cal_pool: &mut Vec<Vec<u32>>,
-        live: &mut [u32],
-        needy: &mut Vec<u32>,
-        job: &JobSpec,
-        max_resubmissions: u32,
         emit: &mut dyn FnMut(Event),
-    ) -> DriverStatus {
-        if tenant.done_pending {
-            return DriverStatus::Done;
+    ) -> (bool, bool) {
+        let tu = t as usize;
+        if self.flags[tu] & T_DONE_PENDING != 0 {
+            return (true, false);
         }
-        let mut k = 0;
-        while k < tenant.legs.len() {
-            let leg = &mut tenant.legs[k];
-            let report = &reports[leg.market as usize];
-            let id = leg.bid_id;
+        let (mut kept, mut runs) = (false, false);
+        let mut prev = t;
+        let mut h = self.slab.first(t);
+        while h != NIL {
+            let hu = h as usize;
+            let mut leg = self.slab.legs[hu];
+            let next = if leg.linked() {
+                self.slab.cold[hu].next
+            } else {
+                NIL
+            };
+            let m = leg.market();
+            let report = &reports[m];
+            let id = leg.bid_id();
             let started = report.started.binary_search(&id).is_ok();
             let interrupted = report.interrupted.binary_search(&id).is_ok();
             let finished = report.finished.binary_search(&id).is_ok();
             let terminated = report.terminated.binary_search(&id).is_ok();
-            let ran = started || (leg.running && !interrupted && !terminated);
+            let ran = started || (leg.running() && !interrupted && !terminated);
             if started {
-                leg.running = true;
-                tenant.run_legs += 1;
                 emit(Event::BidAccepted { slot, tenant: t });
                 // Leave the wakeup book and schedule the expected finish:
-                // the bid needs `assigned − ran` more running slots
-                // starting with this one — exactly the market's own
-                // finish calendar. An interruption strands the entry; it
-                // is validated against the legs' `due` on pop.
-                let m = leg.market as usize;
-                let rem = u64::from(leg.assigned - leg.ran);
-                let due = slot + rem - 1;
-                leg.due = due;
-                let h = leg.handle;
-                if books[m].registered(h) {
-                    books[m].unregister(h);
+                // the leg needs `left` more running slots starting with
+                // this one — exactly the market's own finish calendar. An
+                // interruption strands the entry; it is validated against
+                // the legs' `due` on pop.
+                leg.market |= L_RUNNING;
+                let c = &mut self.slab.cold[hu];
+                c.due = slot + u64::from(c.left) - 1;
+                let (due, filed) = (c.due, c.pos != NIL);
+                if filed {
+                    self.books[m].remove(&mut self.slab.cold, h);
                 }
                 if due > slot {
-                    calendar_push(calendar, cal_pool, due, t);
+                    calendar_push(&mut self.calendar, &mut self.cal_pool, due, t);
                 }
             }
             if interrupted {
-                tenant.interruptions += 1;
+                self.interruptions[tu] += 1;
                 emit(Event::Interrupted { slot, tenant: t });
             }
             if ran {
-                leg.ran += 1;
-                tenant.slots_run += 1;
+                // The provider charges running bids the posted price per
+                // slot (§3.2); mirror the market's accrual in this
+                // tenant's own ledger.
+                self.slots_run[tu] += 1;
                 emit(Event::Charged {
                     item: LineItem {
                         slot,
                         price: report.price,
-                        duration: job.slot,
+                        duration: self.job.slot,
                         kind: UsageKind::Spot,
                         tag: t,
                     },
                 });
             }
-            if interrupted || terminated || finished {
-                if leg.running {
-                    tenant.run_legs -= 1;
+            let stopped = interrupted || terminated || finished;
+            if stopped && leg.running() {
+                leg.market &= !L_RUNNING;
+                let c = &mut self.slab.cold[hu];
+                c.left = (c.due - slot) as u32 + u32::from(!ran);
+            }
+            if finished || terminated {
+                if !finished {
+                    // Terminated: the lost work re-pends for a re-plan.
+                    emit(Event::Rejected { slot, tenant: t });
+                    self.pending[tu] += u64::from(self.slab.cold[hu].left);
+                    if self.resubmissions[tu] < self.max_resubmissions {
+                        // Also rotates a zone-fallback tenant's home
+                        // (`FleetStrategy::plan_as`).
+                        self.resubmissions[tu] += 1;
+                        // Several legs may terminate in one slot; the flag
+                        // keeps the tenant queued at most once.
+                        if self.flags[tu] & T_NEEDS_SUBMIT == 0 {
+                            self.flags[tu] |= T_NEEDS_SUBMIT;
+                            self.needy.push(t);
+                        }
+                    } else {
+                        self.flags[tu] |= T_GAVE_UP;
+                    }
                 }
-                leg.running = false;
-            }
-            if finished {
-                let m = leg.market as usize;
-                let h = leg.handle;
-                live[m] -= 1;
-                tenant.legs.remove(k);
-                books[m].release(h);
-                continue;
-            }
-            if terminated {
-                emit(Event::Rejected { slot, tenant: t });
-                let lost = u64::from(leg.assigned - leg.ran);
-                let m = leg.market as usize;
-                let h = leg.handle;
-                live[m] -= 1;
-                tenant.legs.remove(k);
-                books[m].release(h);
-                tenant.pending += lost;
-                if tenant.resubmissions < max_resubmissions {
-                    tenant.resubmissions += 1;
-                    // Several legs may terminate in one slot; the flag
-                    // keeps the tenant queued at most once.
-                    if !tenant.needs_submit {
-                        tenant.needs_submit = true;
-                        needy.push(t);
-                    }
-                    // Cross-zone fallback: the next plan's home market is
-                    // the next zone over.
-                    if let PortfolioStrategy::ZoneFallback { home, base } = tenant.strategy {
-                        tenant.strategy = PortfolioStrategy::ZoneFallback {
-                            home: (home + 1) % reports.len(),
-                            base,
-                        };
-                    }
+                self.live[m] -= 1;
+                if self.slab.cold[hu].pos != NIL {
+                    self.books[m].remove(&mut self.slab.cold, h);
+                }
+                if h == t {
+                    // The anchor stays the list head, keeping its link.
+                    self.slab.legs[hu].market = VACANT | (leg.market & L_LINKED);
                 } else {
-                    tenant.gave_up = true;
+                    self.slab.link(prev, next);
+                    self.slab.free.push(h);
                 }
-                continue;
+            } else {
+                // Every live pending leg must sit in its market's book:
+                // fresh pends, re-pended persistents after an
+                // interruption, and parked bids waiting out an outage all
+                // land here; already-filed legs pass.
+                if !leg.running() && self.slab.cold[hu].pos == NIL {
+                    self.books[m].insert(&mut self.slab.cold, h);
+                }
+                if started || stopped {
+                    self.slab.legs[hu] = leg;
+                }
+                kept = true;
+                runs |= leg.running();
+                prev = h;
             }
-            k += 1;
+            h = next;
         }
-        if !tenant.completed && tenant.legs.is_empty() && tenant.pending == 0 {
-            tenant.completed = true;
+        if kept {
+            return (false, runs);
+        }
+        let f = self.flags[tu];
+        if f & T_COMPLETED == 0 && self.pending[tu] == 0 {
+            self.flags[tu] |= T_COMPLETED;
             emit(Event::Completed { slot, tenant: t });
-            return DriverStatus::Done;
+            return (true, false);
         }
-        if tenant.gave_up && tenant.legs.is_empty() && !tenant.needs_submit {
-            return DriverStatus::Done;
-        }
-        // Every live pending leg must sit in its market's wakeup book:
-        // fresh pends, re-pended persistents after an interruption, and
-        // parked bids waiting out an outage all land here;
-        // already-registered handles pass.
-        for leg in &tenant.legs {
-            if !leg.running {
-                let b = &mut books[leg.market as usize];
-                if !b.registered(leg.handle) {
-                    b.register(leg.handle);
-                }
-            }
-        }
-        DriverStatus::Active
-    }
-
-    /// Rebuilds the sorted running list from this slot's membership
-    /// changes: a three-pointer merge of the old list with `sc_started`,
-    /// dropping `sc_removed` (all three ascending; a start-and-finish in
-    /// the same slot appears in both deltas and nets out).
-    fn merge_running(&mut self) {
-        if self.sc_started.is_empty() && self.sc_removed.is_empty() {
-            return;
-        }
-        let old = &self.running;
-        let added = &self.sc_started;
-        let removed = &self.sc_removed;
-        let mut out = std::mem::take(&mut self.sc_run_next);
-        out.clear();
-        out.reserve(old.len() + added.len());
-        let (mut i, mut j, mut r) = (0, 0, 0);
-        while i < old.len() || j < added.len() {
-            let x = if j >= added.len() || (i < old.len() && old[i] < added[j]) {
-                let v = old[i];
-                i += 1;
-                v
-            } else {
-                let v = added[j];
-                j += 1;
-                v
-            };
-            while r < removed.len() && removed[r] < x {
-                r += 1;
-            }
-            if r < removed.len() && removed[r] == x {
-                r += 1;
-            } else {
-                out.push(x);
-            }
-        }
-        self.sc_run_next = std::mem::replace(&mut self.running, out);
+        (f & T_GAVE_UP != 0 && f & T_NEEDS_SUBMIT == 0, false)
     }
 
     fn status(&self) -> DriverStatus {
@@ -673,7 +770,7 @@ impl PortfolioWakeupFleet {
     }
 }
 
-impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
+impl<S: FleetStrategy> JobDriver<PortfolioSource> for WakeupFleet<'_, S> {
     fn demand(&self) -> usize {
         self.live.iter().map(|&n| n as usize).sum()
     }
@@ -696,61 +793,53 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
         // would select (queued ascending, drained every slot); the filter
         // mirrors its `!done && needs_submit && !done_pending` guard.
         let mut needy = std::mem::take(&mut self.needy);
-        needy.retain(|&i| {
-            let tu = i as usize;
-            let t = &mut self.tenants[tu];
-            if !self.done[tu] && t.needs_submit && !t.done_pending {
-                t.needs_submit = false;
+        needy.retain(|&t| {
+            let f = &mut self.flags[t as usize];
+            if *f & (T_DONE | T_DONE_PENDING) == 0 && *f & T_NEEDS_SUBMIT != 0 {
+                *f &= !T_NEEDS_SUBMIT;
                 true
             } else {
                 false
             }
         });
-        if needy.is_empty() {
-            self.needy = needy;
-            return Ok(());
-        }
-        // One per-market history snapshot for the whole slot, identical
-        // sharded fan-out to the dense fleet: same shard cuts, same
-        // reserved RNG substreams, same order-stable merge.
-        let histories = source.observed()?;
-        let inputs: Vec<PortfolioStrategy> = needy
-            .iter()
-            .map(|&i| self.tenants[i as usize].strategy)
-            .collect();
-        let shards = inputs.len().div_ceil(SHARD_SIZE);
-        let shard_rngs = &self.shard_rngs;
-        let (job, on_demand) = (self.job, self.on_demand);
-        let plans: Vec<Vec<Result<PortfolioPlan, CoreError>>> =
-            spotbid_exec::par_map(shards, |s| {
-                let mut _rng = shard_rngs[s].clone(); // reserved, see dense
-                let lo = s * SHARD_SIZE;
-                let hi = (lo + SHARD_SIZE).min(inputs.len());
-                inputs[lo..hi]
-                    .iter()
-                    .map(|strat| strat.decide(&histories, &job, on_demand))
-                    .collect()
-            });
-        // Serial, ordered apply: per-market bid ids and events come out
-        // exactly as if each tenant had planned in turn.
-        let mut flat = plans.into_iter().flatten();
-        for &i in &needy {
-            let plan = flat
-                .next()
-                .expect("one plan per needy tenant")
-                .map_err(EngineError::Core)?;
-            Self::apply_plan(
-                &mut self.tenants[i as usize],
-                i,
-                &plan,
-                &job,
-                slot,
-                source,
-                &mut self.books,
-                &mut self.live,
-                emit,
-            );
-            self.fresh.push(i);
+        if !needy.is_empty() {
+            // One per-market history snapshot for the whole slot. Plans are
+            // pure, so resolving them a batch at a time in 64-tenant
+            // shards, then applying each batch serially in tenant order,
+            // gives bid ids and events exactly as if each tenant had
+            // planned in turn.
+            let histories = source.observed()?;
+            for batch in needy.chunks(PLAN_BATCH) {
+                let (strategies, rotations) = (self.strategies, &self.resubmissions);
+                let (job, on_demand) = (&self.job, self.on_demand);
+                let plans = spotbid_exec::par_map(
+                    batch.len().div_ceil(SHARD_SIZE),
+                    |s| -> Result<_, CoreError> {
+                        let shard = &batch[s * SHARD_SIZE..((s + 1) * SHARD_SIZE).min(batch.len())];
+                        let mut legs = Vec::with_capacity(shard.len());
+                        let mut ends = Vec::with_capacity(shard.len());
+                        for &t in shard {
+                            let tu = t as usize;
+                            strategies[tu]
+                                .plan_as(rotations[tu], histories.len())
+                                .decide_into(&histories, job, on_demand, &mut legs)?;
+                            ends.push(legs.len() as u32);
+                        }
+                        Ok((legs, ends))
+                    },
+                );
+                let mut tenants = batch.iter();
+                for shard in plans {
+                    let (legs, ends) = shard.map_err(EngineError::Core)?;
+                    let mut start = 0;
+                    for end in ends {
+                        let t = *tenants.next().expect("one plan per needy tenant");
+                        self.apply_plan(t, &legs[start..end as usize], slot, source, emit);
+                        self.fresh.push(t);
+                        start = end as usize;
+                    }
+                }
+            }
         }
         needy.clear();
         self.needy = needy;
@@ -776,12 +865,11 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
                 let t = e & !UNCOND;
                 // Plain entries are expected leg finishes: valid only if
                 // some leg is still running the streak that scheduled
-                // them (any due leg makes the wake genuine).
+                // them.
                 if e & UNCOND != 0
-                    || self.tenants[t as usize]
-                        .legs
-                        .iter()
-                        .any(|l| l.running && l.due == slot)
+                    || self
+                        .legs_of(t)
+                        .any(|h| self.slab.legs[h].running() && self.slab.cold[h].due == slot)
                 {
                     woken.push(t);
                 }
@@ -791,19 +879,17 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
         }
         for (m, report) in reports.iter().enumerate() {
             let pf = report.price.as_f64();
-            let pp = self.prev_price[m];
-            self.prev_price[m] = pf;
+            let pp = std::mem::replace(&mut self.prev_price[m], pf);
             if pf < pp {
                 let before = woken.len();
-                self.books[m].sweep_fall(pf, pp, &mut woken);
+                self.books[m].sweep_fall(&self.slab.cold, pf, pp, &mut woken);
                 self.stats.swept[m] += (woken.len() - before) as u64;
             }
         }
 
         if woken.is_empty() && self.running.is_empty() {
-            // No market's wake set fired and nothing is running: the
-            // dense fleet would have walked every tenant and changed
-            // nothing.
+            // Nothing fired and nothing is running: the dense fleet would
+            // have walked every tenant and changed nothing.
             self.stats.skipped_slots += 1;
             self.sc_woken = woken;
             return Ok(self.status());
@@ -836,45 +922,26 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
         }
         self.stats.woken += order.len() as u64;
 
-        let mut started_add = std::mem::take(&mut self.sc_started);
-        let mut removed = std::mem::take(&mut self.sc_removed);
-        started_add.clear();
-        removed.clear();
+        // Every running tenant is in `order`, so the tenants still
+        // running after their update, in `order`'s ascending order, are
+        // the next running list.
+        let mut running = std::mem::take(&mut self.sc_running);
+        running.clear();
         for &t in &order {
             let tu = t as usize;
-            if self.done[tu] {
+            if self.flags[tu] & T_DONE != 0 {
                 continue;
             }
-            let had_running = self.tenants[tu].run_legs > 0;
-            let status = Self::update_tenant(
-                &mut self.tenants[tu],
-                t,
-                slot,
-                reports,
-                &mut self.books,
-                &mut self.calendar,
-                &mut self.cal_pool,
-                &mut self.live,
-                &mut self.needy,
-                &self.job,
-                self.max_resubmissions,
-                emit,
-            );
-            let now_running = self.tenants[tu].run_legs > 0;
-            if now_running && !had_running {
-                started_add.push(t);
+            let (done, runs) = self.update_tenant(t, slot, reports, emit);
+            if runs {
+                running.push(t);
             }
-            if had_running && !now_running {
-                removed.push(t);
-            }
-            if status == DriverStatus::Done {
-                self.done[tu] = true;
+            if done {
+                self.flags[tu] |= T_DONE;
                 self.active -= 1;
             }
         }
-        self.sc_started = started_add;
-        self.sc_removed = removed;
-        self.merge_running();
+        self.sc_running = std::mem::replace(&mut self.running, running);
 
         // Parked bids resolve at their market's next individual
         // re-auction — which a price sweep cannot predict — so their
@@ -904,20 +971,15 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
         }
         if any_outage || reports.iter().any(|r| !r.evicted.is_empty()) {
             for &t in &order {
-                let tu = t as usize;
-                if self.done[tu] {
+                if self.flags[t as usize] & T_DONE != 0 {
                     continue;
                 }
-                let mut arm = false;
-                for leg in &self.tenants[tu].legs {
-                    let m = leg.market as usize;
-                    if (self.sc_outage[m] && !leg.running)
-                        || reports[m].evicted.binary_search(&leg.bid_id).is_ok()
-                    {
-                        arm = true;
-                        break;
-                    }
-                }
+                let arm = self.legs_of(t).any(|h| {
+                    let leg = &self.slab.legs[h];
+                    let m = leg.market();
+                    (self.sc_outage[m] && !leg.running())
+                        || reports[m].evicted.binary_search(&leg.bid_id()).is_ok()
+                });
                 if arm {
                     self.arm_uncond(slot + 1, t);
                 }
@@ -930,16 +992,20 @@ impl JobDriver<PortfolioSource> for PortfolioWakeupFleet {
     }
 }
 
-/// Runs the wakeup portfolio fleet under the shared session shell (the
-/// parent module's public `run_portfolio_loop*` entry points delegate
-/// here).
-pub(super) fn run(
-    strategies: &[PortfolioStrategy],
+/// Runs one session on the wakeup fleet under the shared kernel shell,
+/// each tenant's outcome built by `row`: the body of both
+/// `run_portfolio_loop*` and, as the M = 1 portfolio with on-demand churn
+/// `od`, of `run_closed_loop*`.
+pub(crate) fn run<S: FleetStrategy, T>(
+    strategies: &[S],
     cfg: &PortfolioLoopConfig,
     seed: u64,
     faults: Option<&[LoopFaults]>,
+    od: Option<OdChurn>,
     log: Option<&mut EventLog>,
-) -> Result<(PortfolioReport, PortfolioFleetStats), EngineError> {
+    row: impl Fn(TenantFinal, Cost, f64) -> T,
+) -> Result<(Assembled<T>, PortfolioFleetStats), EngineError> {
+    validate(strategies.len(), cfg, faults)?;
     // The fleet sees kernel slots (0-based after warmup); shift each
     // market's absolute-slot fault plan accordingly.
     let reclaim_masks: Vec<Vec<bool>> = match faults {
@@ -953,44 +1019,45 @@ pub(super) fn run(
             .collect(),
         None => Vec::new(),
     };
-    let (report, fleet) = run_session(
-        strategies,
-        cfg,
-        seed,
-        faults,
-        log,
-        |streams| PortfolioWakeupFleet::new(strategies, cfg, streams, reclaim_masks),
-        |fleet| {
-            fleet
-                .tenants
-                .iter()
-                .enumerate()
-                .map(|(i, t)| TenantFinal {
-                    tag: i as u32,
-                    strategy: t.strategy,
-                    completed: t.completed,
-                    spot_slots: t.slots_run,
-                    interruptions: t.interruptions,
-                    resubmissions: t.resubmissions,
-                    remaining: t.remaining_work(&cfg.job),
-                })
-                .collect()
-        },
-    )?;
+    let (fleet, source, bill) = run_kernel(cfg, seed, faults, od, log, |_| {
+        WakeupFleet::new(strategies, cfg, reclaim_masks)
+    })?;
+    let finals = (0..strategies.len()).map(|i| fleet.final_state(i));
+    let report = assemble(finals, bill, &source, cfg, row)?;
     Ok((report, fleet.stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spotbid_market::sim::Supply;
+    use spotbid_numerics::rng::Rng;
 
-    fn book() -> LegBook {
-        let params = MarketParams::new(Price::new(0.35), Price::new(0.02), 0.05, 0.05).unwrap();
-        LegBook::new(&params)
+    fn params() -> MarketParams {
+        MarketParams::new(Price::new(0.35), Price::new(0.02), 0.05, 0.05).unwrap()
     }
 
-    /// A hostile threshold for the slab audit: boundary-exact grid
-    /// points, below-floor, above-cap, and plain uniform values.
+    fn fleet(strategies: &[BiddingStrategy]) -> WakeupFleet<'_, BiddingStrategy> {
+        let cfg = PortfolioLoopConfig {
+            markets: vec![super::super::PortfolioMarket {
+                name: "solo".into(),
+                params: params(),
+                idio_arrivals: 0.0,
+                supply: Supply::Unbounded,
+            }],
+            shared_arrivals: 0.0,
+            slot_len: Hours::from_minutes(5.0),
+            on_demand: Price::new(0.35),
+            job: JobSpec::builder(1.0).recovery_secs(60.0).build().unwrap(),
+            warmup_slots: 1,
+            horizon_slots: 1,
+            max_resubmissions: 0,
+        };
+        WakeupFleet::new(strategies, &cfg, Vec::new())
+    }
+
+    /// A hostile threshold: boundary-exact grid points, below-floor,
+    /// above-cap, and plain uniform values.
     fn threshold(b: &LegBook, rng: &mut Rng) -> f64 {
         match rng.range_f64(0.0, 4.0) as usize {
             0 => {
@@ -1003,77 +1070,96 @@ mod tests {
         }
     }
 
-    /// Full structural audit: every bucket position agrees with
-    /// `pos_of`/`bucket_of`, every member's bucket is its threshold's
+    /// Allocates a leg and files it in the book.
+    fn file(b: &mut LegBook, slab: &mut LegSlab, owner: u32, threshold: f64) -> u32 {
+        let h = slab.alloc(
+            Leg { bid: 0, market: 0 },
+            LegCold {
+                threshold,
+                due: 0,
+                owner,
+                left: 1,
+                pos: NIL,
+                next: NIL,
+                bucket: 0,
+            },
+        );
+        b.insert(&mut slab.cold, h);
+        h
+    }
+
+    /// Full structural audit: every bucket position agrees with the leg's
+    /// own `bucket`/`pos`, every member's bucket is its threshold's
     /// classifier bucket, no freed handle lingers in a bucket, and
     /// membership matches the reference set.
-    fn audit(b: &LegBook, registered: &[Option<u32>]) {
+    fn audit(b: &LegBook, slab: &LegSlab, filed: &[Option<u32>]) {
         let mut seen = 0;
         for (k, list) in b.buckets.iter().enumerate() {
             for (p, &h) in list.iter().enumerate() {
-                let hu = h as usize;
-                let owner = registered[hu].expect("freed handle still in a bucket");
-                assert_eq!(b.owner[hu], owner);
-                assert_eq!(b.bucket_of[hu] as usize, k);
-                assert_eq!(b.pos_of[hu] as usize, p);
-                assert_eq!(b.bucket_index(b.threshold[hu]), k, "misfiled threshold");
+                let f = &slab.cold[h as usize];
+                let owner = filed[h as usize].expect("freed handle still in a bucket");
+                assert_eq!(f.owner, owner);
+                assert_eq!(usize::from(f.bucket), k);
+                assert_eq!(f.pos as usize, p);
+                assert_eq!(b.bucket_index(f.threshold), k, "misfiled threshold");
                 seen += 1;
             }
         }
-        let expect = registered.iter().filter(|r| r.is_some()).count();
+        let expect = filed.iter().filter(|r| r.is_some()).count();
         assert_eq!(seen, expect, "bucket membership drifted from the reference");
     }
 
     #[test]
     fn leg_slab_survives_alloc_release_churn() {
-        // Handles are allocated, registered, unregistered, and released
-        // in arbitrary order; the slab's free list must recycle them
-        // without ever corrupting bucket membership.
-        let mut b = book();
+        // Legs are allocated, filed, unfiled, and released in arbitrary
+        // order; the slab's free list must recycle them without ever
+        // corrupting bucket membership.
+        let mut b = LegBook::new(&params());
+        let mut slab = LegSlab::default();
         let mut rng = Rng::seed_from_u64(0x1E6B);
-        let mut live: Vec<u32> = Vec::new(); // registered handles
-        let mut registered: Vec<Option<u32>> = Vec::new(); // by handle
+        let mut live: Vec<u32> = Vec::new();
+        let mut filed: Vec<Option<u32>> = Vec::new(); // by handle
         let mut allocs = 0u32;
         for step in 0..20_000 {
             if live.is_empty() || rng.chance(0.55) {
                 let owner = rng.range_f64(0.0, 1000.0) as u32;
                 let thr = threshold(&b, &mut rng);
-                let h = b.alloc(owner, thr);
+                let h = file(&mut b, &mut slab, owner, thr);
                 allocs += 1;
-                b.register(h);
-                if h as usize >= registered.len() {
-                    registered.resize(h as usize + 1, None);
+                if h as usize >= filed.len() {
+                    filed.resize(h as usize + 1, None);
                 }
-                registered[h as usize] = Some(owner);
+                filed[h as usize] = Some(owner);
                 live.push(h);
             } else {
                 let k = rng.range_f64(0.0, live.len() as f64) as usize % live.len();
                 let h = live.swap_remove(k);
-                b.release(h);
-                registered[h as usize] = None;
+                b.remove(&mut slab.cold, h);
+                slab.free.push(h);
+                filed[h as usize] = None;
             }
             if step % 997 == 0 {
-                audit(&b, &registered);
+                audit(&b, &slab, &filed);
             }
         }
-        audit(&b, &registered);
+        audit(&b, &slab, &filed);
         assert!(
-            (b.threshold.len() as u32) < allocs,
+            (slab.legs.len() as u32) < allocs,
             "churn must have recycled handles through the free list"
         );
     }
 
     #[test]
     fn sweep_yields_owners_of_every_crossed_leg() {
-        let mut b = book();
+        let mut b = LegBook::new(&params());
+        let mut slab = LegSlab::default();
         let mut rng = Rng::seed_from_u64(0x0E5B);
         // Two legs per owner so duplicate owner pushes are exercised.
         let mut legs: Vec<(u32, u32)> = Vec::new(); // (handle, owner)
         for owner in 0..200u32 {
             for _ in 0..2 {
-                let h = b.alloc(owner, threshold(&b, &mut rng));
-                b.register(h);
-                legs.push((h, owner));
+                let thr = threshold(&b, &mut rng);
+                legs.push((file(&mut b, &mut slab, owner, thr), owner));
             }
         }
         for _ in 0..2_000 {
@@ -1081,11 +1167,11 @@ mod tests {
             let c = threshold(&b, &mut rng).max(0.0);
             let (pf, pp) = if a < c { (a, c) } else { (c, a) };
             let mut out = Vec::new();
-            b.sweep_fall(pf, pp, &mut out);
+            b.sweep_fall(&slab.cold, pf, pp, &mut out);
             out.sort_unstable();
             // Completeness: every crossed leg's owner is woken.
             for &(h, owner) in &legs {
-                let thr = b.threshold[h as usize];
+                let thr = slab.cold[h as usize].threshold;
                 if thr >= pf && thr < pp {
                     assert!(
                         out.binary_search(&owner).is_ok(),
@@ -1093,6 +1179,73 @@ mod tests {
                     );
                 }
             }
+            // Soundness: an owner is woken only for a leg at or above the
+            // fall.
+            for &owner in &out {
+                assert!(
+                    legs.iter()
+                        .any(|&(h, o)| o == owner && slab.cold[h as usize].threshold >= pf),
+                    "woke owner {owner} with every threshold below the fall"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn repeated_uncond_arms_pin_single_wake_entry() {
+        // The already-armed guard: arming the same tenant for the same
+        // target slot twice (back-to-back outages, or an outage plus a
+        // capacity eviction in one slot) must leave exactly one entry in
+        // that slot's wake list — and must not suppress arms for other
+        // slots or other tenants.
+        let strategies = [BiddingStrategy::OnDemand; 3];
+        let mut fleet = fleet(&strategies);
+        fleet.arm_uncond(5, 1);
+        fleet.arm_uncond(5, 1); // duplicate arm, same target slot
+        fleet.arm_uncond(5, 2);
+        fleet.arm_uncond(6, 1); // different target slot still arms
+        assert_eq!(
+            fleet.calendar.get(&5).unwrap().as_slice(),
+            &[1 | UNCOND, 2 | UNCOND],
+            "slot-5 wake list"
+        );
+        assert_eq!(
+            fleet.calendar.get(&6).unwrap().as_slice(),
+            &[1 | UNCOND],
+            "slot-6 wake list"
+        );
+    }
+
+    #[test]
+    fn calendar_entries_recycle_their_vectors() {
+        // The pool keeps steady-state slots allocation-free; pushes after
+        // a drain reuse the returned vector.
+        let strategies = [BiddingStrategy::OnDemand];
+        let mut fleet = fleet(&strategies);
+        calendar_push(&mut fleet.calendar, &mut fleet.cal_pool, 5, 1);
+        calendar_push(&mut fleet.calendar, &mut fleet.cal_pool, 5, 2 | UNCOND);
+        let mut list = fleet.calendar.remove(&5).unwrap();
+        assert_eq!(list.len(), 2);
+        assert_eq!(list[1] & !UNCOND, 2);
+        list.clear();
+        fleet.cal_pool.push(list);
+        calendar_push(&mut fleet.calendar, &mut fleet.cal_pool, 9, 3);
+        assert_eq!(fleet.cal_pool.len(), 0, "push reused the pooled vector");
+        assert!(fleet.calendar.get(&9).unwrap().capacity() >= 2);
+    }
+
+    #[test]
+    fn zone_fallback_rotation_follows_resubmissions() {
+        let base = BiddingStrategy::FixedBid(Price::new(0.30));
+        let zf = |home| PortfolioStrategy::ZoneFallback { home, base };
+        // No fallback yet: the configured home stands, even out of range.
+        assert_eq!(zf(5).plan_as(0, 3), zf(5));
+        // Each fallback moves one zone over, wrapping at M.
+        assert_eq!(zf(1).plan_as(1, 3), zf(2));
+        assert_eq!(zf(1).plan_as(2, 3), zf(0));
+        assert_eq!(zf(5).plan_as(4, 3), zf(0));
+        assert_eq!(base.plan_as(3, 1), zf(0));
+        let split = PortfolioStrategy::SplitEven { base };
+        assert_eq!(split.plan_as(2, 3), split);
     }
 }

@@ -21,8 +21,12 @@
 //! The client and MapReduce runtimes are thin adapters over this kernel
 //! (bit-identical to their pre-kernel implementations — see the parity
 //! tests in `tests/`), and [`closedloop`] adds the capability none of the
-//! old loops had: N strategy-driven bidders submitting into one endogenous
-//! market whose posted price responds to their bids.
+//! old loops had: N strategy-driven bidders submitting into endogenous
+//! markets whose posted prices respond to their bids. One event-driven
+//! wakeup fleet runs them all: the portfolio loop over M markets, and the
+//! single-market loop as its M = 1 case; the frozen per-slot fleets
+//! (`closedloop::dense`, `closedloop::portfolio::dense`) are the oracles
+//! it is held bit-identical to.
 
 #![warn(missing_docs)]
 

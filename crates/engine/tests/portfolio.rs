@@ -2,11 +2,14 @@
 //!
 //! A one-market portfolio is not a new simulator — it is the *same*
 //! simulator: `run_portfolio_loop` with M=1, a zero shared shock, and
-//! [`PortfolioStrategy::ZoneFallback`] must reproduce the single-market
-//! `run_closed_loop` path bit-for-bit — same per-tenant outcomes, same
-//! aggregate report, same full event stream, clean and under fault
-//! injection. That parity is what lets the M>1 code paths inherit the
-//! single-market wall's trust.
+//! [`PortfolioStrategy::ZoneFallback`] must reproduce the frozen
+//! single-market oracle `closedloop::dense` bit-for-bit — same per-tenant
+//! outcomes, same aggregate report, same full event stream, clean, under
+//! fault injection, and under finite supply — and skip exactly the
+//! oracle's zero-activity slots. `run_closed_loop` itself runs this M=1
+//! portfolio fleet, so the oracle, not the single-market entry point, is
+//! what these tests hold it to. That parity is what lets the M>1 code
+//! paths inherit the single-market wall's trust.
 //!
 //! The second half of the contract: a genuinely multi-market portfolio
 //! session is a pure function of its seed at any `SPOTBID_THREADS` —
@@ -15,13 +18,15 @@
 use spotbid_core::portfolio::PortfolioStrategy;
 use spotbid_core::strategy::BiddingStrategy;
 use spotbid_core::JobSpec;
+use spotbid_engine::closedloop::dense;
 use spotbid_engine::{
-    run_closed_loop_logged, run_portfolio_loop, run_portfolio_loop_logged, ClosedLoopConfig,
-    LoopFaults, PortfolioLoopConfig, PortfolioMarket, PortfolioReport,
+    run_closed_loop_logged, run_portfolio_loop, run_portfolio_loop_logged,
+    run_portfolio_loop_with_stats, ClosedLoopConfig, Event, LoopFaults, PortfolioLoopConfig,
+    PortfolioMarket, PortfolioReport,
 };
 use spotbid_exec::with_threads;
 use spotbid_market::units::{Hours, Price};
-use spotbid_market::{MarketParams, Supply};
+use spotbid_market::{MarketParams, ProviderPolicy, Supply};
 
 fn single_config() -> ClosedLoopConfig {
     ClosedLoopConfig {
@@ -136,20 +141,59 @@ fn digest(report: &PortfolioReport) -> u64 {
     h
 }
 
+/// Slots of an event stream with any event besides the price postings —
+/// the slots a wakeup fleet may not skip.
+fn active_slots(events: &[Event]) -> u64 {
+    let mut slots: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::PricePosted { .. } => None,
+            Event::Charged { item } => Some(item.slot),
+            Event::BidSubmitted { slot, .. }
+            | Event::BidAccepted { slot, .. }
+            | Event::Interrupted { slot, .. }
+            | Event::Reclaimed { slot, .. }
+            | Event::Rejected { slot, .. }
+            | Event::Completed { slot, .. }
+            | Event::FeedOutage { slot, .. } => Some(*slot),
+        })
+        .collect();
+    slots.sort_unstable();
+    slots.dedup();
+    slots.len() as u64
+}
+
+fn zone_fallbacks(bases: &[BiddingStrategy]) -> Vec<PortfolioStrategy> {
+    bases
+        .iter()
+        .map(|&base| PortfolioStrategy::ZoneFallback { home: 0, base })
+        .collect()
+}
+
 #[test]
 fn degenerate_portfolio_matches_single_market_loop() {
     let cfg = single_config();
     let pcfg = PortfolioLoopConfig::single(&cfg, "solo");
     let bases = base_strategies(130);
-    let ports: Vec<PortfolioStrategy> = bases
-        .iter()
-        .map(|&base| PortfolioStrategy::ZoneFallback { home: 0, base })
-        .collect();
+    let ports = zone_fallbacks(&bases);
     for seed in [0xC105ED, 0xBEEF, 7] {
-        let (sr, se, _) = run_closed_loop_logged(&bases, &cfg, seed, None).unwrap();
+        let (sr, se) = dense::run_closed_loop_logged(&bases, &cfg, seed, None).unwrap();
         let (pr, pe) = run_portfolio_loop_logged(&ports, &pcfg, seed, None).unwrap();
         assert_single_market_parity(&pr, &sr, &format!("seed {seed}"));
         assert_eq!(pe, se, "seed {seed}: event streams diverged");
+        // Fault-free and unbounded, a skipped slot is exactly an oracle
+        // slot whose only event is the price posting.
+        let (_, stats) = run_portfolio_loop_with_stats(&ports, &pcfg, seed).unwrap();
+        assert_eq!(stats.slots, sr.slots, "seed {seed}: processed slots");
+        assert_eq!(
+            stats.skipped_slots,
+            stats.slots - active_slots(&se),
+            "seed {seed}: skip accounting diverged from the oracle"
+        );
+        assert!(
+            stats.skipped_slots > 0,
+            "seed {seed}: the tail should go quiet"
+        );
     }
 }
 
@@ -158,10 +202,7 @@ fn degenerate_portfolio_matches_single_market_loop_under_faults() {
     let cfg = single_config();
     let pcfg = PortfolioLoopConfig::single(&cfg, "solo");
     let bases = base_strategies(72);
-    let ports: Vec<PortfolioStrategy> = bases
-        .iter()
-        .map(|&base| PortfolioStrategy::ZoneFallback { home: 0, base })
-        .collect();
+    let ports = zone_fallbacks(&bases);
     let total = cfg.warmup_slots + cfg.horizon_slots;
     let mut faults = LoopFaults {
         gap: vec![false; total],
@@ -173,7 +214,7 @@ fn degenerate_portfolio_matches_single_market_loop_under_faults() {
     for s in ((cfg.warmup_slots + 3)..total).step_by(4) {
         faults.reclaim[s] = true;
     }
-    let (sr, se, _) = run_closed_loop_logged(&bases, &cfg, 0xFA17, Some(&faults)).unwrap();
+    let (sr, se) = dense::run_closed_loop_logged(&bases, &cfg, 0xFA17, Some(&faults)).unwrap();
     let (pr, pe) =
         run_portfolio_loop_logged(&ports, &pcfg, 0xFA17, Some(std::slice::from_ref(&faults)))
             .unwrap();
@@ -184,6 +225,51 @@ fn degenerate_portfolio_matches_single_market_loop_under_faults() {
         pr.tenants.iter().any(|t| t.interruptions > 0),
         "no reclamation ever bit: {pr:?}"
     );
+}
+
+#[test]
+fn degenerate_portfolio_matches_single_market_loop_under_finite_supply() {
+    // A box small enough to bind, with on-demand churn competing for it.
+    let churned = ClosedLoopConfig {
+        supply: Supply::Finite {
+            capacity: 30,
+            policy: ProviderPolicy::UtilizationTracking { od_cap: 18 },
+        },
+        od_arrivals: 1.5,
+        od_departure: 0.25,
+        ..single_config()
+    };
+    let bases = base_strategies(90);
+    // Finite supply through the portfolio entry point (which has no
+    // on-demand churn of its own).
+    let still = ClosedLoopConfig {
+        od_arrivals: 0.0,
+        od_departure: 0.0,
+        ..churned
+    };
+    let pcfg = PortfolioLoopConfig::single(&still, "solo");
+    let (sr, se) = dense::run_closed_loop_logged(&bases, &still, 0xF1, None).unwrap();
+    let (pr, pe) = run_portfolio_loop_logged(&zone_fallbacks(&bases), &pcfg, 0xF1, None).unwrap();
+    assert_single_market_parity(&pr, &sr, "finite");
+    assert_eq!(pe, se, "finite event streams diverged");
+    assert_eq!(pr.provider, vec![sr.provider], "finite provider telemetry");
+    // With churn, through `run_closed_loop` — the M=1 portfolio fleet with
+    // the churn only its adapter sets.
+    let (wr, we, stats) = run_closed_loop_logged(&bases, &churned, 0xF1, None).unwrap();
+    let (dr, de) = dense::run_closed_loop_logged(&bases, &churned, 0xF1, None).unwrap();
+    assert_eq!(wr, dr, "churned reports diverged");
+    assert_eq!(we, de, "churned event streams diverged");
+    // Capacity evictions wake tenants without an event of their own, so
+    // the skip count is bounded by the oracle's quiet slots, not equal.
+    assert!(stats.skipped_slots <= stats.slots - active_slots(&de));
+    for p in [sr.provider, dr.provider] {
+        let p = p.expect("finite run reports the provider");
+        assert!(
+            p.reclaims + p.fresh_evictions > 0,
+            "capacity never bound: {p:?}"
+        );
+    }
+    assert!(dr.provider.unwrap().od_admissions > 0, "no on-demand churn");
 }
 
 fn multi_config() -> PortfolioLoopConfig {

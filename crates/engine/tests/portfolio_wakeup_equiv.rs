@@ -13,20 +13,21 @@
 //! `Supply::Finite`/`Supply::Unbounded` memberships.
 //!
 //! The degenerate corner is held down twice: an M=1 wakeup portfolio
-//! must reproduce `run_closed_loop` — which the parity wall in
-//! `tests/portfolio.rs` checks event-for-event — and here its *wakeup
-//! accounting* (slots, skips, wakeups) must match the single-market
-//! fleet's too: same machinery, same wake sets, one market.
+//! must reproduce the frozen single-market oracle `closedloop::dense` —
+//! which the parity wall in `tests/portfolio.rs` checks event-for-event —
+//! and here its *wakeup accounting* must match that oracle too: every
+//! slot processed, and exactly the oracle's zero-activity slots skipped.
 
 use std::collections::BTreeMap;
 
 use spotbid_core::portfolio::PortfolioStrategy;
 use spotbid_core::strategy::BiddingStrategy;
 use spotbid_core::JobSpec;
+use spotbid_engine::closedloop::dense as single_dense;
 use spotbid_engine::closedloop::portfolio::dense;
 use spotbid_engine::{
-    run_closed_loop_logged, run_portfolio_loop_logged, run_portfolio_loop_with_stats,
-    ClosedLoopConfig, Event, LoopFaults, PortfolioLoopConfig, PortfolioMarket, PortfolioReport,
+    run_portfolio_loop_logged, run_portfolio_loop_with_stats, ClosedLoopConfig, Event, LoopFaults,
+    PortfolioLoopConfig, PortfolioMarket, PortfolioReport,
 };
 use spotbid_exec::with_threads;
 use spotbid_market::units::{Hours, Price};
@@ -252,10 +253,10 @@ fn equivalent_with_mixed_finite_supply_members() {
 #[test]
 fn degenerate_single_market_wakeup_accounting_matches() {
     // M=1 is not a new simulator: the parity wall in `tests/portfolio.rs`
-    // pins the degenerate report and event stream to `run_closed_loop`;
-    // here the wakeup *accounting* must agree too — same processed
-    // slots, same O(1) skips, same total wakeups as the single-market
-    // fleet on the identical session.
+    // pins the degenerate report and event stream to the single-market
+    // oracle; here the wakeup *accounting* must agree with it too — every
+    // oracle slot processed, and the O(1) skips exactly the oracle's
+    // zero-activity slots.
     let single = ClosedLoopConfig {
         params: params(0),
         slot_len: Hours::from_minutes(5.0),
@@ -282,14 +283,38 @@ fn degenerate_single_market_wakeup_accounting_matches() {
         .iter()
         .map(|&base| PortfolioStrategy::ZoneFallback { home: 0, base })
         .collect();
-    let (_, _, sstats) = run_closed_loop_logged(&bases, &single, 0xDE6E, None).unwrap();
-    let (_, pstats) = run_portfolio_loop_with_stats(&ports, &pcfg, 0xDE6E).unwrap();
-    assert_eq!(pstats.slots, sstats.slots, "processed-slot counts diverged");
+    let (dr, de) = single_dense::run_closed_loop_logged(&bases, &single, 0xDE6E, None).unwrap();
+    let (pr, pstats) = run_portfolio_loop_with_stats(&ports, &pcfg, 0xDE6E).unwrap();
     assert_eq!(
-        pstats.skipped_slots, sstats.skipped_slots,
-        "skip accounting diverged from the single-market fleet"
+        pr.completed, dr.completed,
+        "reports diverged from the oracle"
     );
-    assert_eq!(pstats.woken, sstats.woken, "wakeup counts diverged");
+    assert_eq!(pstats.slots, dr.slots, "processed-slot counts diverged");
+    let mut active: Vec<u64> = de
+        .iter()
+        .filter_map(|e| match e {
+            Event::PricePosted { .. } => None,
+            Event::Charged { item } => Some(item.slot),
+            Event::BidSubmitted { slot, .. }
+            | Event::BidAccepted { slot, .. }
+            | Event::Interrupted { slot, .. }
+            | Event::Reclaimed { slot, .. }
+            | Event::Rejected { slot, .. }
+            | Event::Completed { slot, .. }
+            | Event::FeedOutage { slot, .. } => Some(*slot),
+        })
+        .collect();
+    active.sort_unstable();
+    active.dedup();
+    assert_eq!(
+        pstats.skipped_slots,
+        pstats.slots - active.len() as u64,
+        "skip accounting diverged from the oracle's zero-activity slots"
+    );
+    assert!(
+        pstats.woken >= active.len() as u64,
+        "an active slot woke nobody"
+    );
     assert_eq!(pstats.swept.len(), 1);
     assert!(pstats.skipped_slots > 0, "a 240-slot tail should go quiet");
 }

@@ -319,15 +319,22 @@ fn write_str(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// The deepest array/object nesting [`from_str`] accepts. The parser
+/// recurses once per level, so the bound keeps hostile input (a line of
+/// 20,000 `[`) from overflowing the parsing thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Json`] tree.
 ///
 /// Accepts the full JSON grammar (RFC 8259): nested arrays/objects,
 /// escape sequences including `\uXXXX` (with surrogate pairs), and
-/// scientific-notation numbers. Trailing non-whitespace is an error.
+/// scientific-notation numbers. Trailing non-whitespace is an error, and
+/// so is nesting deeper than [`MAX_DEPTH`].
 pub fn from_str(s: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -344,6 +351,8 @@ pub fn from_str(s: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -390,6 +399,18 @@ impl Parser<'_> {
         }
     }
 
+    /// Enters one more array/object level, refusing to pass [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), JsonError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        Ok(())
+    }
+
     fn parse_value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
             Some(b'n') => {
@@ -405,8 +426,18 @@ impl Parser<'_> {
                 Ok(Json::Bool(false))
             }
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => {
+                self.descend()?;
+                let v = self.parse_array();
+                self.depth -= 1;
+                v
+            }
+            Some(b'{') => {
+                self.descend()?;
+                let v = self.parse_object();
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             Some(other) => Err(JsonError::new(format!(
                 "unexpected character `{}` at byte {}",
@@ -579,6 +610,30 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_bounded_without_recursing_past_the_limit() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str(&nest(MAX_DEPTH)).is_ok());
+        let err = from_str(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        let obj = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(from_str(&obj).is_err());
+        // A hostile 20,000-deep line on a small stack fails typed instead
+        // of overflowing it.
+        let deep = "[".repeat(20_000);
+        let r = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || from_str(&deep).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(r);
+    }
 
     #[test]
     fn round_trips_scalars() {

@@ -631,6 +631,27 @@ fn crash_op_is_refused_in_production_config() {
     handle.stop();
 }
 
+/// A request nested 20,000 levels deep (20 KB, under `max_line_bytes`)
+/// is a malformed frame, not a stack overflow: the process survives and
+/// a fresh connection still gets advisories.
+#[test]
+fn deeply_nested_frame_is_refused_and_server_survives() {
+    let handle = spotbid_serve::start(ServeConfig::default()).expect("start");
+    {
+        let mut m = handle.shared().model.lock().unwrap();
+        for r in records(5, 16) {
+            m.ingest(r).unwrap();
+        }
+    }
+    let mut client = Client::connect(handle.addr());
+    let r = client.request(&"[".repeat(20_000));
+    assert_eq!(error_kind(&r), "malformed_frame", "{r:?}");
+    let mut client = Client::connect(handle.addr());
+    let r = client.request(r#"{"op":"advise","strategy":"onetime","ts_hours":1.0}"#);
+    assert!(is_ok(&r), "advisories must survive a hostile frame: {r:?}");
+    handle.stop();
+}
+
 /// Slow/half-open clients are evicted at the read deadline and never
 /// block a well-behaved neighbour; an overfull queue sheds load with a
 /// typed reply.
