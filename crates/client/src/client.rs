@@ -6,6 +6,7 @@ use crate::ClientError;
 use spotbid_core::price_model::EmpiricalPrices;
 use spotbid_core::{
     onetime, persistent, BidDecision, BidRecommendation, BiddingStrategy, CoreError, JobSpec,
+    ObservedMarkets,
 };
 use spotbid_market::units::Price;
 use spotbid_trace::SpotPriceHistory;
@@ -80,11 +81,14 @@ impl SpotClient {
         let future = history
             .slice(decision_slot, history.len())
             .map_err(ClientError::Trace)?;
-        let decision = self
-            .strategy
-            .decide(&past, job, self.on_demand)
+        // One model of the past serves both the decision and the
+        // prediction.
+        let observed = ObservedMarkets::new(std::slice::from_ref(&past), self.on_demand);
+        let decision = observed
+            .decide(0, self.strategy, job)
             .map_err(ClientError::Core)?;
-        let prediction = self.predict(&past, job)?;
+        let model = observed.model(0).map_err(ClientError::Core)?;
+        let prediction = self.predict(model, job)?;
         let outcome = if fallback {
             runtime::run_job_with_fallback(&future, decision, job, tag, self.on_demand)?
         } else {
@@ -101,14 +105,12 @@ impl SpotClient {
     /// baselines, or when the optimum falls back to on-demand).
     fn predict(
         &self,
-        past: &SpotPriceHistory,
+        model: &EmpiricalPrices,
         job: &JobSpec,
     ) -> Result<Option<BidRecommendation>, ClientError> {
-        let model = EmpiricalPrices::from_history_with_cap(past, self.on_demand)
-            .map_err(ClientError::Core)?;
         let rec = match self.strategy {
-            BiddingStrategy::OptimalOneTime => onetime::optimal_bid(&model, job),
-            BiddingStrategy::OptimalPersistent => persistent::optimal_bid(&model, job),
+            BiddingStrategy::OptimalOneTime => onetime::optimal_bid(model, job),
+            BiddingStrategy::OptimalPersistent => persistent::optimal_bid(model, job),
             _ => return Ok(None),
         };
         match rec {

@@ -16,7 +16,8 @@
 //!   parallelism (Eq. 20, [`mapreduce`]);
 //! - the paper's **baselines**: on-demand, percentile bidding, and the
 //!   best-offline-price heuristic ([`baselines`]), unified with the optimal
-//!   strategies behind [`strategy::BiddingStrategy`];
+//!   strategies behind [`strategy::BiddingStrategy`], resolved many at a
+//!   time against one shared per-slot snapshot ([`observed`]);
 //! - the §8 extensions: **risk-averse** and **deadline-constrained**
 //!   bidding via Monte Carlo evaluation over the price model ([`risk`]).
 //!
@@ -50,6 +51,7 @@ pub mod baselines;
 pub mod checkpoint;
 pub mod job;
 pub mod mapreduce;
+pub mod observed;
 pub mod onetime;
 pub mod overhead;
 pub mod parallel;
@@ -61,6 +63,7 @@ pub mod risk;
 pub mod strategy;
 
 pub use job::JobSpec;
+pub use observed::ObservedMarkets;
 pub use portfolio::{PortfolioLeg, PortfolioPlan, PortfolioStrategy};
 pub use price_model::{AnalyticPrices, EmpiricalPrices, PriceModel};
 pub use recommendation::BidRecommendation;

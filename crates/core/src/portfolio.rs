@@ -19,9 +19,11 @@
 //! A resolved plan is a list of [`PortfolioLeg`]s — (market, work,
 //! decision) triples — produced by pure functions of the per-market price
 //! histories, so planning parallelizes with the same determinism contract
-//! as single-market `decide`.
+//! as single-market `decide`. Plans resolved in one planning slot share
+//! one [`ObservedMarkets`] snapshot: one price model per market touched.
 
 use crate::job::JobSpec;
+use crate::observed::ObservedMarkets;
 use crate::strategy::{BidDecision, BiddingStrategy};
 use crate::CoreError;
 use spotbid_market::units::{Hours, Price};
@@ -108,11 +110,16 @@ impl PortfolioStrategy {
     /// Resolves the strategy into a [`PortfolioPlan`] against one price
     /// history per market.
     ///
+    /// An [`ObservedMarkets`] snapshot built for this call; to resolve
+    /// many plans against the same histories, build the snapshot once and
+    /// call [`decide_into`](Self::decide_into).
+    ///
     /// # Errors
     ///
     /// [`CoreError::NoFeasibleBid`] if `histories` is empty,
     /// [`CoreError::InvalidProbability`] for a `Contract` share outside
-    /// `[0, 1]`, plus anything the base strategy's `decide` returns.
+    /// `[0, 1]`, plus anything the base strategy's `decide` returns in a
+    /// market the plan bids into.
     pub fn decide(
         &self,
         histories: &[SpotPriceHistory],
@@ -120,37 +127,38 @@ impl PortfolioStrategy {
         on_demand: Price,
     ) -> Result<PortfolioPlan, CoreError> {
         let mut legs = Vec::new();
-        self.decide_into(histories, job, on_demand, &mut legs)?;
+        self.decide_into(&ObservedMarkets::new(histories, on_demand), job, &mut legs)?;
         Ok(PortfolioPlan { legs })
     }
 
-    /// As [`PortfolioStrategy::decide`], appending the plan's legs to
-    /// `legs` instead of allocating a plan — for callers resolving many
-    /// plans into one buffer. On error, `legs` may hold a partial plan.
+    /// As [`PortfolioStrategy::decide`] against a shared snapshot,
+    /// appending the plan's legs to `legs` instead of allocating a plan —
+    /// for callers resolving many plans in one planning slot. Only the
+    /// markets the plan bids into have their models built (once per
+    /// snapshot). On error, `legs` may hold a partial plan.
     ///
     /// # Errors
     ///
     /// As [`PortfolioStrategy::decide`].
     pub fn decide_into(
         &self,
-        histories: &[SpotPriceHistory],
+        markets: &ObservedMarkets<'_>,
         job: &JobSpec,
-        on_demand: Price,
         legs: &mut Vec<PortfolioLeg>,
     ) -> Result<(), CoreError> {
-        if histories.is_empty() {
+        if markets.is_empty() {
             return Err(CoreError::NoFeasibleBid {
                 why: "portfolio needs at least one market".into(),
             });
         }
-        let m = histories.len();
+        let m = markets.len();
         let total_slots = job.slots_needed();
         match *self {
             PortfolioStrategy::ZoneFallback { home, base } => {
-                // `base.decide` validates the job. (The comparison spares
-                // the common in-range home a 64-bit division.)
+                // `markets.decide` validates the job. (The comparison
+                // spares the common in-range home a 64-bit division.)
                 let market = if home < m { home } else { home % m };
-                let decision = base.decide(&histories[market], job, on_demand)?;
+                let decision = markets.decide(market, base, job)?;
                 legs.push(PortfolioLeg {
                     market,
                     slots: total_slots,
@@ -170,15 +178,13 @@ impl PortfolioStrategy {
                     }
                     legs_n -= 1;
                 }
-                let order = rank_markets(histories);
-                let mut targets: Vec<usize> = order[..legs_n].to_vec();
+                let mut targets: Vec<usize> = markets.ranking()[..legs_n].to_vec();
                 targets.sort_unstable();
                 let base_slots = total_slots / legs_n as u64;
                 let extra = (total_slots % legs_n as u64) as usize;
                 for (i, &market) in targets.iter().enumerate() {
                     let slots = base_slots + u64::from(i < extra);
-                    let sub = sub_job(job, slots);
-                    let decision = base.decide(&histories[market], &sub, on_demand)?;
+                    let decision = markets.decide(market, base, &sub_job(job, slots))?;
                     legs.push(PortfolioLeg {
                         market,
                         slots,
@@ -191,7 +197,7 @@ impl PortfolioStrategy {
                 if !(0.0..=1.0).contains(&spot_share) || !spot_share.is_finite() {
                     return Err(CoreError::InvalidProbability { value: spot_share });
                 }
-                let cheapest = rank_markets(histories)[0];
+                let cheapest = markets.ranking()[0];
                 let mut spot_slots = (total_slots as f64 * spot_share).round() as u64;
                 spot_slots = spot_slots.min(total_slots);
                 // A spot sub-job below the recovery floor can't be priced;
@@ -201,8 +207,7 @@ impl PortfolioStrategy {
                 }
                 let od_slots = total_slots - spot_slots;
                 if spot_slots > 0 {
-                    let sub = sub_job(job, spot_slots);
-                    let decision = base.decide(&histories[cheapest], &sub, on_demand)?;
+                    let decision = markets.decide(cheapest, base, &sub_job(job, spot_slots))?;
                     legs.push(PortfolioLeg {
                         market: cheapest,
                         slots: spot_slots,
@@ -213,7 +218,9 @@ impl PortfolioStrategy {
                     legs.push(PortfolioLeg {
                         market: cheapest,
                         slots: od_slots,
-                        decision: BidDecision::OnDemand { price: on_demand },
+                        decision: BidDecision::OnDemand {
+                            price: markets.on_demand(),
+                        },
                     });
                 }
             }

@@ -2,7 +2,8 @@
 //! client and experiment harness with one knob.
 
 use crate::job::JobSpec;
-use crate::price_model::EmpiricalPrices;
+use crate::observed::ObservedMarkets;
+use crate::price_model::{EmpiricalPrices, PriceModel};
 use crate::{baselines, onetime, persistent, CoreError};
 use spotbid_market::units::Price;
 use spotbid_trace::SpotPriceHistory;
@@ -50,23 +51,38 @@ impl BiddingStrategy {
     /// Resolves the strategy into a concrete decision against a price
     /// history (the client's "price monitor" state).
     ///
+    /// A one-market [`ObservedMarkets`] snapshot built for this call; to
+    /// resolve many decisions against one history, build the snapshot once
+    /// and call [`ObservedMarkets::decide`].
+    ///
     /// # Errors
     ///
-    /// Propagates model-construction and per-strategy errors; strategies
-    /// whose constraints fail (e.g. spot not worthwhile) resolve to
-    /// [`BidDecision::OnDemand`] rather than erroring, mirroring the
-    /// paper's fallback behaviour.
+    /// The job's validation error first, then the model-construction
+    /// error, then per-strategy errors; strategies whose constraints fail
+    /// (e.g. spot not worthwhile) resolve to [`BidDecision::OnDemand`]
+    /// rather than erroring, mirroring the paper's fallback behaviour.
     pub fn decide(
         &self,
         history: &SpotPriceHistory,
         job: &JobSpec,
         on_demand: Price,
     ) -> Result<BidDecision, CoreError> {
-        job.validate()?;
-        let fallback = BidDecision::OnDemand { price: on_demand };
-        let model = EmpiricalPrices::from_history_with_cap(history, on_demand)?;
+        ObservedMarkets::new(std::slice::from_ref(history), on_demand).decide(0, *self, job)
+    }
+
+    /// The strategy body: resolves against `model`, the (capped) model of
+    /// `history`, for an already validated `job`.
+    pub(crate) fn resolve(
+        &self,
+        history: &SpotPriceHistory,
+        model: &EmpiricalPrices,
+        job: &JobSpec,
+    ) -> Result<BidDecision, CoreError> {
+        let fallback = BidDecision::OnDemand {
+            price: model.on_demand(),
+        };
         let decision = match *self {
-            BiddingStrategy::OptimalOneTime => match onetime::optimal_bid(&model, job) {
+            BiddingStrategy::OptimalOneTime => match onetime::optimal_bid(model, job) {
                 Ok(rec) => BidDecision::Spot {
                     price: rec.price,
                     persistent: false,
@@ -76,7 +92,7 @@ impl BiddingStrategy {
                 }
                 Err(e) => return Err(e),
             },
-            BiddingStrategy::OptimalPersistent => match persistent::optimal_bid(&model, job) {
+            BiddingStrategy::OptimalPersistent => match persistent::optimal_bid(model, job) {
                 Ok(rec) => BidDecision::Spot {
                     price: rec.price,
                     persistent: true,
@@ -87,7 +103,7 @@ impl BiddingStrategy {
                 Err(e) => return Err(e),
             },
             BiddingStrategy::Percentile(q) => BidDecision::Spot {
-                price: baselines::percentile_bid(&model, q)?,
+                price: baselines::percentile_bid(model, q)?,
                 persistent: true,
             },
             BiddingStrategy::FixedBid(p) => BidDecision::Spot {

@@ -45,7 +45,7 @@ use crate::kernel::{DriverStatus, JobDriver};
 use crate::observer::EventLog;
 use crate::EngineError;
 use spotbid_core::portfolio::{PortfolioLeg, PortfolioStrategy};
-use spotbid_core::{BidDecision, BiddingStrategy, CoreError, JobSpec};
+use spotbid_core::{BidDecision, BiddingStrategy, CoreError, JobSpec, ObservedMarkets};
 use spotbid_market::params::MarketParams;
 use spotbid_market::sim::{BidId, BidKind, BidRequest, SlotReport, WorkModel};
 use spotbid_market::units::{Cost, Hours, Price};
@@ -803,15 +803,17 @@ impl<S: FleetStrategy> JobDriver<PortfolioSource> for WakeupFleet<'_, S> {
             }
         });
         if !needy.is_empty() {
-            // One per-market history snapshot for the whole slot. Plans are
-            // pure, so resolving them a batch at a time in 64-tenant
-            // shards, then applying each batch serially in tenant order,
-            // gives bid ids and events exactly as if each tenant had
-            // planned in turn.
+            // One per-market snapshot for the whole slot, shared by every
+            // shard: each market's price model is built once, by the first
+            // plan that bids there. Plans are pure, so resolving them a
+            // batch at a time in 64-tenant shards, then applying each batch
+            // serially in tenant order, gives bid ids and events exactly as
+            // if each tenant had planned in turn.
             let histories = source.observed()?;
+            let markets = ObservedMarkets::new(&histories, self.on_demand);
             for batch in needy.chunks(PLAN_BATCH) {
                 let (strategies, rotations) = (self.strategies, &self.resubmissions);
-                let (job, on_demand) = (&self.job, self.on_demand);
+                let job = &self.job;
                 let plans = spotbid_exec::par_map(
                     batch.len().div_ceil(SHARD_SIZE),
                     |s| -> Result<_, CoreError> {
@@ -821,8 +823,8 @@ impl<S: FleetStrategy> JobDriver<PortfolioSource> for WakeupFleet<'_, S> {
                         for &t in shard {
                             let tu = t as usize;
                             strategies[tu]
-                                .plan_as(rotations[tu], histories.len())
-                                .decide_into(&histories, job, on_demand, &mut legs)?;
+                                .plan_as(rotations[tu], markets.len())
+                                .decide_into(&markets, job, &mut legs)?;
                             ends.push(legs.len() as u32);
                         }
                         Ok((legs, ends))
