@@ -3,11 +3,7 @@
 
 use crate::runtime::{self, JobOutcome};
 use crate::ClientError;
-use spotbid_core::price_model::EmpiricalPrices;
-use spotbid_core::{
-    onetime, persistent, BidDecision, BidRecommendation, BiddingStrategy, CoreError, JobSpec,
-    ObservedMarkets,
-};
+use spotbid_core::{BidDecision, BidRecommendation, BiddingStrategy, JobSpec, ObservedMarkets};
 use spotbid_market::units::Price;
 use spotbid_trace::SpotPriceHistory;
 
@@ -81,14 +77,12 @@ impl SpotClient {
         let future = history
             .slice(decision_slot, history.len())
             .map_err(ClientError::Trace)?;
-        // One model of the past serves both the decision and the
-        // prediction.
-        let observed = ObservedMarkets::new(std::slice::from_ref(&past), self.on_demand);
-        let decision = observed
-            .decide(0, self.strategy, job)
-            .map_err(ClientError::Core)?;
-        let model = observed.model(0).map_err(ClientError::Core)?;
-        let prediction = self.predict(model, job)?;
+        // One model of the past and one optimizer run serve both the
+        // decision and the prediction.
+        let (decision, prediction) =
+            ObservedMarkets::new(std::slice::from_ref(&past), self.on_demand)
+                .decide_with_prediction(0, self.strategy, job)
+                .map_err(ClientError::Core)?;
         let outcome = if fallback {
             runtime::run_job_with_fallback(&future, decision, job, tag, self.on_demand)?
         } else {
@@ -99,25 +93,6 @@ impl SpotClient {
             prediction,
             outcome,
         })
-    }
-
-    /// The analytic prediction behind the optimal strategies (`None` for
-    /// baselines, or when the optimum falls back to on-demand).
-    fn predict(
-        &self,
-        model: &EmpiricalPrices,
-        job: &JobSpec,
-    ) -> Result<Option<BidRecommendation>, ClientError> {
-        let rec = match self.strategy {
-            BiddingStrategy::OptimalOneTime => onetime::optimal_bid(model, job),
-            BiddingStrategy::OptimalPersistent => persistent::optimal_bid(model, job),
-            _ => return Ok(None),
-        };
-        match rec {
-            Ok(r) => Ok(Some(r)),
-            Err(CoreError::NotWorthwhile { .. }) | Err(CoreError::NoFeasibleBid { .. }) => Ok(None),
-            Err(e) => Err(ClientError::Core(e)),
-        }
     }
 }
 

@@ -23,7 +23,7 @@ use crate::job::JobSpec;
 use crate::portfolio::rank_markets;
 use crate::price_model::EmpiricalPrices;
 use crate::strategy::{BidDecision, BiddingStrategy};
-use crate::CoreError;
+use crate::{BidRecommendation, CoreError};
 use spotbid_market::units::Price;
 use spotbid_trace::SpotPriceHistory;
 use std::sync::OnceLock;
@@ -111,6 +111,31 @@ impl<'a> ObservedMarkets<'a> {
         strategy: BiddingStrategy,
         job: &JobSpec,
     ) -> Result<BidDecision, CoreError> {
+        self.decide_with_prediction(market, strategy, job)
+            .map(|(decision, _)| decision)
+    }
+
+    /// As [`ObservedMarkets::decide`], also returning the analytic
+    /// recommendation the decision was derived from: `Some` for
+    /// [`BiddingStrategy::OptimalOneTime`] and
+    /// [`BiddingStrategy::OptimalPersistent`] when their optimum exists,
+    /// `None` for the baselines and when the optimum falls back to on
+    /// demand (not worthwhile, or no feasible bid). The optimizer runs
+    /// once for both.
+    ///
+    /// # Errors
+    ///
+    /// As [`ObservedMarkets::decide`].
+    ///
+    /// # Panics
+    ///
+    /// If `market` is out of range.
+    pub fn decide_with_prediction(
+        &self,
+        market: usize,
+        strategy: BiddingStrategy,
+        job: &JobSpec,
+    ) -> Result<(BidDecision, Option<BidRecommendation>), CoreError> {
         job.validate()?;
         let model = self.model(market)?;
         strategy.resolve(&self.histories[market], model, job)

@@ -4,7 +4,7 @@
 use crate::job::JobSpec;
 use crate::observed::ObservedMarkets;
 use crate::price_model::{EmpiricalPrices, PriceModel};
-use crate::{baselines, onetime, persistent, CoreError};
+use crate::{baselines, onetime, persistent, BidRecommendation, CoreError};
 use spotbid_market::units::Price;
 use spotbid_trace::SpotPriceHistory;
 
@@ -71,37 +71,40 @@ impl BiddingStrategy {
     }
 
     /// The strategy body: resolves against `model`, the (capped) model of
-    /// `history`, for an already validated `job`.
+    /// `history`, for an already validated `job` — with the analytic
+    /// recommendation the decision came from, for the optimal strategies
+    /// whose optimum exists (`None` otherwise).
     pub(crate) fn resolve(
         &self,
         history: &SpotPriceHistory,
         model: &EmpiricalPrices,
         job: &JobSpec,
-    ) -> Result<BidDecision, CoreError> {
+    ) -> Result<(BidDecision, Option<BidRecommendation>), CoreError> {
         let fallback = BidDecision::OnDemand {
             price: model.on_demand(),
         };
         let decision = match *self {
-            BiddingStrategy::OptimalOneTime => match onetime::optimal_bid(model, job) {
-                Ok(rec) => BidDecision::Spot {
-                    price: rec.price,
-                    persistent: false,
-                },
-                Err(CoreError::NotWorthwhile { .. }) | Err(CoreError::NoFeasibleBid { .. }) => {
-                    fallback
-                }
-                Err(e) => return Err(e),
-            },
-            BiddingStrategy::OptimalPersistent => match persistent::optimal_bid(model, job) {
-                Ok(rec) => BidDecision::Spot {
-                    price: rec.price,
-                    persistent: true,
-                },
-                Err(CoreError::NotWorthwhile { .. }) | Err(CoreError::NoFeasibleBid { .. }) => {
-                    fallback
-                }
-                Err(e) => return Err(e),
-            },
+            BiddingStrategy::OptimalOneTime | BiddingStrategy::OptimalPersistent => {
+                let persistent = *self == BiddingStrategy::OptimalPersistent;
+                let rec = if persistent {
+                    persistent::optimal_bid(model, job)
+                } else {
+                    onetime::optimal_bid(model, job)
+                };
+                return match rec {
+                    Ok(rec) => Ok((
+                        BidDecision::Spot {
+                            price: rec.price,
+                            persistent,
+                        },
+                        Some(rec),
+                    )),
+                    Err(CoreError::NotWorthwhile { .. }) | Err(CoreError::NoFeasibleBid { .. }) => {
+                        Ok((fallback, None))
+                    }
+                    Err(e) => Err(e),
+                };
+            }
             BiddingStrategy::Percentile(q) => BidDecision::Spot {
                 price: baselines::percentile_bid(model, q)?,
                 persistent: true,
@@ -123,7 +126,7 @@ impl BiddingStrategy {
             }
             BiddingStrategy::OnDemand => fallback,
         };
-        Ok(decision)
+        Ok((decision, None))
     }
 }
 

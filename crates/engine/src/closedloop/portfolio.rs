@@ -57,10 +57,10 @@ pub(super) mod wakeup;
 pub use wakeup::PortfolioFleetStats;
 
 use super::LoopFaults;
-use crate::billing::Bill;
+use crate::billing::{LineItem, UsageKind};
 use crate::event::Event;
 use crate::kernel::{JobDriver, Kernel};
-use crate::observer::{BillingObserver, EventLog, Observer};
+use crate::observer::{EventLog, Observer};
 use crate::source::PriceSource;
 use crate::EngineError;
 use spotbid_core::portfolio::PortfolioStrategy;
@@ -469,43 +469,89 @@ fn run_session<F: JobDriver<PortfolioSource>>(
     finals: impl FnOnce(&F) -> Vec<TenantFinal>,
 ) -> Result<(PortfolioReport, F), EngineError> {
     validate(strategies.len(), cfg, faults)?;
-    let (fleet, source, bill) = run_kernel(cfg, seed, faults, None, log, make_fleet)?;
+    let (fleet, source, costs) =
+        run_kernel(strategies.len(), cfg, seed, faults, None, log, make_fleet)?;
     let finals = finals(&fleet);
-    let report = assemble(finals.iter().copied(), bill, &source, cfg, portfolio_row)?;
+    let report = assemble(finals.iter().copied(), costs, &source, cfg, portfolio_row)?;
     Ok((report.into(), fleet))
 }
 
-/// Source construction and warmup, then the kernel loop over one fleet —
-/// shared by both fleets. Returns the fleet, the spent source, and the
-/// session's bill.
+/// Each tenant's cost so far: the session's `Charged` stream folded into
+/// one total per tag as it arrives, in place of a stored [`Bill`].
+///
+/// Every item is validated exactly as [`Bill::try_charge`] does, so a
+/// pathological charge fails the session with the same
+/// [`EngineError::Billing`] at the same event. Each tag's items are summed
+/// in emission order from [`Cost::ZERO`], so every total is bit-identical
+/// to [`Bill::totals_by_tag`] over the ledger the session would have kept;
+/// items tagged `>= tenants` are ignored, as there.
+///
+/// [`Bill`]: crate::billing::Bill
+/// [`Bill::try_charge`]: crate::billing::Bill::try_charge
+/// [`Bill::totals_by_tag`]: crate::billing::Bill::totals_by_tag
+#[derive(Debug)]
+struct CostFold {
+    totals: Vec<Cost>,
+}
+
+impl CostFold {
+    fn new(tenants: usize) -> Self {
+        CostFold {
+            totals: vec![Cost::ZERO; tenants],
+        }
+    }
+
+    /// Validates `item` and adds its amount to its tag's total.
+    fn charge(&mut self, item: &LineItem) -> Result<(), EngineError> {
+        item.validate()?;
+        if let Some(t) = self.totals.get_mut(item.tag as usize) {
+            *t += item.amount();
+        }
+        Ok(())
+    }
+}
+
+impl Observer for CostFold {
+    fn on_event(&mut self, event: &Event) -> Result<(), EngineError> {
+        match event {
+            Event::Charged { item } => self.charge(item),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Source construction and warmup, then the kernel loop over one fleet of
+/// `tenants` — shared by both fleets. Returns the fleet, the spent source,
+/// and the session's per-tenant costs.
 fn run_kernel<F: JobDriver<PortfolioSource>>(
+    tenants: usize,
     cfg: &PortfolioLoopConfig,
     seed: u64,
     faults: Option<&[LoopFaults]>,
     od: Option<OdChurn>,
     log: Option<&mut EventLog>,
     make_fleet: impl FnOnce(&RngStreams) -> F,
-) -> Result<(F, PortfolioSource, Bill), EngineError> {
+) -> Result<(F, PortfolioSource, CostFold), EngineError> {
     let streams = RngStreams::new(seed);
     let mut source = PortfolioSource::new(cfg, &streams, faults, od)?;
     source.warmup(cfg.warmup_slots);
 
     let mut fleet = make_fleet(&streams);
-    let mut billing = BillingObserver::validated();
+    let mut costs = CostFold::new(tenants);
     {
         let mut kernel = Kernel::new(cfg.slot_len, source);
         let horizon = Some(cfg.horizon_slots as u64);
         match log {
             Some(l) => kernel.run(
                 &mut [&mut fleet],
-                &mut [&mut billing as &mut dyn Observer, l],
+                &mut [&mut costs as &mut dyn Observer, l],
                 horizon,
             )?,
-            None => kernel.run(&mut [&mut fleet], &mut [&mut billing], horizon)?,
+            None => kernel.run(&mut [&mut fleet], &mut [&mut costs], horizon)?,
         };
         source = kernel.into_source();
     }
-    Ok((fleet, source, billing.into_bill()))
+    Ok((fleet, source, costs))
 }
 
 /// A finished session: per-tenant rows of either loop's outcome type plus
@@ -550,29 +596,30 @@ fn portfolio_row(t: TenantFinal, cost: Cost, savings: f64) -> PortfolioTenantOut
 
 /// The §5.1 fallback plus the report, over the tenants' final states in
 /// tag order: incomplete tenants finish their remaining work on demand at
-/// the horizon close (the float accumulation order is part of the
-/// bit-equivalence contract), then costs are totalled per tag and each
-/// tenant becomes a `row`, next to the per-market price summaries.
+/// the horizon close — the last charge of their tag, so the float
+/// accumulation order is the ledger's — then each tenant becomes a `row`
+/// with its total, next to the per-market price summaries.
 fn assemble<T>(
     finals: impl ExactSizeIterator<Item = TenantFinal> + Clone,
-    mut bill: Bill,
+    mut costs: CostFold,
     source: &PortfolioSource,
     cfg: &PortfolioLoopConfig,
     row: impl Fn(TenantFinal, Cost, f64) -> T,
 ) -> Result<Assembled<T>, EngineError> {
     for t in finals.clone() {
         if !t.completed && t.remaining > Hours::ZERO {
-            bill.try_charge_on_demand(
-                (cfg.warmup_slots + cfg.horizon_slots) as u64,
-                cfg.on_demand,
-                t.remaining,
-                t.tag,
-            )?;
+            costs.charge(&LineItem {
+                slot: (cfg.warmup_slots + cfg.horizon_slots) as u64,
+                price: cfg.on_demand,
+                duration: t.remaining,
+                kind: UsageKind::OnDemand,
+                tag: t.tag,
+            })?;
         }
     }
     let od_cost = (cfg.on_demand * cfg.job.execution).as_f64();
     let n = finals.len();
-    let totals = bill.totals_by_tag(n);
+    let totals = costs.totals;
     // `Iterator::sum`'s own fold, so the mean is bit-identical to summing
     // the savings column.
     let mut savings_sum: f64 = std::iter::empty::<f64>().sum();

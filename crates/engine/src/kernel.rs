@@ -10,11 +10,14 @@
 //! 4. advance each active driver one slot with the quote;
 //! 5. tick the clock.
 //!
-//! Drivers and the source emit [`Event`]s through a buffer that the kernel
-//! flushes to every [`Observer`] after each hook, in emission order. An
-//! observer error aborts the session *after* the flush completes, so the
-//! billing ledger has already recorded everything up to (not including) the
-//! refused charge — matching the legacy `try_charge` semantics.
+//! Drivers and the source emit [`Event`]s straight to every [`Observer`]:
+//! each event reaches every observer (in registration order) before the
+//! next is emitted, and nothing is buffered. The first observer error
+//! latches: later events of the same hook are dropped, and the error aborts
+//! the session when the hook returns (ahead of any error the hook itself
+//! returns). The billing ledger has then recorded everything up to (not
+//! including) the refused charge — matching the legacy `try_charge`
+//! semantics.
 
 use crate::clock::SimClock;
 use crate::event::Event;
@@ -68,7 +71,8 @@ pub trait JobDriver<S: PriceSource> {
     ///
     /// # Errors
     ///
-    /// Aborts the session; buffered events are flushed first.
+    /// Aborts the session, unless an observer refused an event first (the
+    /// observer's error wins).
     fn before_slot(
         &mut self,
         _slot: u64,
@@ -82,7 +86,7 @@ pub trait JobDriver<S: PriceSource> {
     ///
     /// # Errors
     ///
-    /// Aborts the session; buffered events are flushed first.
+    /// As [`JobDriver::before_slot`].
     fn on_slot(
         &mut self,
         slot: u64,
@@ -143,7 +147,10 @@ impl<S: PriceSource> Kernel<S> {
         max_slots: Option<u64>,
     ) -> Result<StopReason, EngineError> {
         let mut done = vec![false; drivers.len()];
-        let mut buf: Vec<Event> = Vec::new();
+        let mut out = Fanout {
+            observers,
+            refused: None,
+        };
         // Multi-market sources get per-market demand; the single-market
         // path below is byte-identical to the pre-promotion kernel.
         let markets = self.source.markets();
@@ -160,8 +167,8 @@ impl<S: PriceSource> Kernel<S> {
                 if *done {
                     continue;
                 }
-                let r = driver.before_slot(slot, &mut self.source, &mut |e| buf.push(e));
-                flush(&mut buf, observers)?;
+                let r = driver.before_slot(slot, &mut self.source, &mut |e| out.emit(e));
+                out.settle()?;
                 r?;
             }
             let posted = if markets <= 1 {
@@ -184,14 +191,14 @@ impl<S: PriceSource> Kernel<S> {
             let Some(quote) = posted else {
                 return Ok(StopReason::SourceExhausted);
             };
-            self.source.quote_events(slot, &quote, &mut |e| buf.push(e));
-            flush(&mut buf, observers)?;
+            self.source.quote_events(slot, &quote, &mut |e| out.emit(e));
+            out.settle()?;
             for (driver, done) in drivers.iter_mut().zip(&mut done) {
                 if *done {
                     continue;
                 }
-                let r = driver.on_slot(slot, &quote, &mut |e| buf.push(e));
-                flush(&mut buf, observers)?;
+                let r = driver.on_slot(slot, &quote, &mut |e| out.emit(e));
+                out.settle()?;
                 if r? == DriverStatus::Done {
                     *done = true;
                 }
@@ -204,26 +211,33 @@ impl<S: PriceSource> Kernel<S> {
     }
 }
 
-/// Drains the event buffer to every observer, in emission order; each event
-/// reaches every observer (in registration order) before the next event.
-/// The first observer error propagates after the buffer is cleared.
-fn flush(buf: &mut Vec<Event>, observers: &mut [&mut dyn Observer]) -> Result<(), EngineError> {
-    let mut first_err = Ok(());
-    for event in buf.drain(..) {
-        for obs in observers.iter_mut() {
-            let r = obs.on_event(&event);
-            if first_err.is_ok() {
-                if let Err(e) = r {
-                    first_err = Err(e);
-                }
+/// The observers of one session, fed each event as it is emitted.
+struct Fanout<'a, 'b> {
+    observers: &'a mut [&'b mut dyn Observer],
+    /// The first observer error of the current hook; once set, later
+    /// events are dropped until [`Fanout::settle`].
+    refused: Option<EngineError>,
+}
+
+impl Fanout<'_, '_> {
+    /// Delivers `event` to every observer in registration order, unless an
+    /// earlier event of this hook was refused. The refusing event itself
+    /// still reaches every observer.
+    fn emit(&mut self, event: Event) {
+        if self.refused.is_some() {
+            return;
+        }
+        for obs in self.observers.iter_mut() {
+            if let Err(e) = obs.on_event(&event) {
+                self.refused.get_or_insert(e);
             }
         }
-        if first_err.is_err() {
-            break;
-        }
     }
-    buf.clear();
-    first_err
+
+    /// Ends a hook: the first refusal, if any, as an error.
+    fn settle(&mut self) -> Result<(), EngineError> {
+        self.refused.take().map_or(Ok(()), Err)
+    }
 }
 
 #[cfg(test)]
@@ -423,5 +437,74 @@ mod tests {
             .events()
             .iter()
             .any(|e| matches!(e, Event::Completed { .. })));
+    }
+
+    #[test]
+    fn delivery_stops_at_the_first_refusal_and_the_observer_error_wins() {
+        /// Emits five events in `before_slot`, then fails the hook itself.
+        struct FiveThenFail;
+        impl<M: MarketView + ?Sized> JobDriver<ViewSource<'_, M>> for FiveThenFail {
+            fn before_slot(
+                &mut self,
+                slot: u64,
+                _source: &mut ViewSource<'_, M>,
+                emit: &mut dyn FnMut(Event),
+            ) -> Result<(), EngineError> {
+                for tenant in 0..5 {
+                    emit(Event::Completed { slot, tenant });
+                }
+                Err(EngineError::InvalidConfig {
+                    what: "the hook's own error".into(),
+                })
+            }
+
+            fn on_slot(
+                &mut self,
+                _slot: u64,
+                _quote: &SlotPrice,
+                _emit: &mut dyn FnMut(Event),
+            ) -> Result<DriverStatus, EngineError> {
+                unreachable!("the session aborts in before_slot")
+            }
+        }
+        /// Refuses the third event (tenant 2), recording what it saw.
+        #[derive(Default)]
+        struct RefuseThird {
+            seen: Vec<u32>,
+        }
+        impl Observer for RefuseThird {
+            fn on_event(&mut self, event: &Event) -> Result<(), EngineError> {
+                let tenant = event.tenant().expect("tenant events only");
+                self.seen.push(tenant);
+                if tenant == 2 {
+                    return Err(EngineError::Billing {
+                        what: "refused".into(),
+                    });
+                }
+                Ok(())
+            }
+        }
+        let h = history(&[0.04, 0.05]);
+        let mut k = Kernel::new(h.slot_len(), ViewSource::new(&h));
+        let (mut before, mut after) = (EventLog::new(), EventLog::new());
+        let mut refuser = RefuseThird::default();
+        let r = k.run(
+            &mut [&mut FiveThenFail],
+            &mut [&mut before, &mut refuser, &mut after],
+            None,
+        );
+        assert!(
+            matches!(r, Err(EngineError::Billing { .. })),
+            "the observer error wins over the hook's: {r:?}"
+        );
+        let tenants = |log: &EventLog| -> Vec<u32> {
+            log.events().iter().filter_map(Event::tenant).collect()
+        };
+        // Events 1–3 reached every observer, the refused one included;
+        // events 4 and 5 reached none.
+        assert_eq!(tenants(&before), [0, 1, 2]);
+        assert_eq!(refuser.seen, [0, 1, 2]);
+        assert_eq!(tenants(&after), [0, 1, 2]);
+        assert_eq!(k.clock().now(), 0, "no slot was posted");
     }
 }
